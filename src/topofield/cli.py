@@ -85,20 +85,45 @@ def _emit(result: dict, args, human: str) -> None:
 
 
 def _parse_years(spec: str) -> frozenset[int]:
-    """Year sets like "2010-2019" or "2010,2012,2014" (mixable)."""
+    """argparse type for year sets like "2010-2019" or "2010,2012,2014" (mixable)."""
     years: set[int] = set()
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            years.update(range(int(lo), int(hi) + 1))
-        else:
-            years.add(int(part))
+        lo, hi = part.split("-", 1) if "-" in part else (part, part)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad year {part!r} in {spec!r}") from None
+        if not dt.MINYEAR <= lo <= hi <= dt.MAXYEAR:
+            raise argparse.ArgumentTypeError(f"bad year range {part!r} in {spec!r}")
+        years.update(range(lo, hi + 1))
     if not years:
-        raise FormatError(f"no years in {spec!r}")
+        raise argparse.ArgumentTypeError(f"no years in {spec!r}")
     return frozenset(years)
+
+
+def _parse_bins(spec: str) -> tuple[float, ...]:
+    """argparse type for comma-separated bin edges."""
+    try:
+        edges = tuple(float(e) for e in spec.split(","))
+        if all(math.isfinite(e) for e in edges):
+            return edges
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bin edges must be finite numbers, got {spec!r}")
+
+
+def _positive_int(text) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        n = int(text)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_date(s: str) -> dt.date:
@@ -106,23 +131,31 @@ def _parse_date(s: str) -> dt.date:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise FormatError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise FormatError(f"{THREADS_ENV} must be at least 1, got {n}")
-        return n
+    """--threads (or its config value), else $TOPOFIELD_THREADS, else all cores."""
+    env = os.environ.get(THREADS_ENV) or None
+    for source, value in (("--threads", args.threads), (THREADS_ENV, env)):
+        if value is not None:
+            try:
+                return _positive_int(value)
+            except argparse.ArgumentTypeError as exc:
+                raise FormatError(f"{source} {exc}") from None
     return os.cpu_count() or 1
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_stats(path) -> NormStats:
-    d = json.loads(Path(path).read_text())
-    return NormStats(float(d["p1"]), float(d["p99"]))
+    d = _read_json(path, "stats file")
+    try:
+        p1, p99 = float(d["p1"]), float(d["p99"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(f"stats file {path} must hold numeric p1 and p99") from None
+    return NormStats(p1, p99)
 
 
 def _single_channel(stack: FieldStack, what: str) -> FieldStack:
@@ -143,8 +176,11 @@ def _pick_date(stack: FieldStack, date: dt.date | None, what: str) -> int:
 
 
 def _scores_from_json(path) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
-    return np.asarray(data, dtype=np.float64)
+    data = _read_json(path, "scores file")
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise FormatError(f"scores file {path} must hold an array of numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +189,7 @@ def _scores_from_json(path) -> np.ndarray:
 
 def _cmd_stats(args) -> dict:
     stack = gfs.read_stack(args.input)
-    split = SplitSpec(_parse_years(args.train_years), frozenset())
+    split = SplitSpec(args.train_years, frozenset())
     stats = compute_norm_stats(stack, split)
     result = {"p1": stats.p1, "p99": stats.p99}
     if args.output:
@@ -219,15 +255,12 @@ def _cmd_sample(args) -> dict:
     stack = gfs.read_stack(args.input)
     split = None
     if args.train_years:
-        split = SplitSpec(
-            _parse_years(args.train_years),
-            _parse_years(args.test_years) if args.test_years else frozenset(),
-        )
+        split = SplitSpec(args.train_years, args.test_years or frozenset())
     lines = []
     records = []
     if args.count:
         rng = np.random.default_rng(args.seed)
-        taus = sample_lead_times(args.count, args.seed + 1 if args.seed is not None else 1)
+        taus = sample_lead_times(args.count, args.seed + 1)
         dates = list(stack.dates)
         made = 0
         attempts = 0
@@ -439,7 +472,7 @@ def _cmd_stratify(args) -> dict:
     rmse_stack = _single_channel(gfs.read_stack(args.rmse), "--rmse")
     li = _pick_date(lam_stack, args.date, "--lambda")
     ri = _pick_date(rmse_stack, args.date, "--rmse")
-    bins = BinSpec(tuple(float(e) for e in args.bins.split(",")))
+    bins = BinSpec(args.bins)
     row = lambda_bin_analysis(lam_stack.field(li), rmse_stack.field(ri), bins, season=args.season)
     labels = bins.labels
     if args.output:
@@ -480,20 +513,28 @@ def _cmd_synth(args) -> dict:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints usage errors in the CLI's ``error [code]: message`` form."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error [usage]: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="topofield", description=__doc__)
+    parser = _Parser(prog="topofield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="print a single JSON result object")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=None,
                        help=f"worker threads (default: {THREADS_ENV} or all cores)")
         p.add_argument("--config", metavar="PATH",
                        help="JSON file of flag defaults; explicit flags win")
 
     p = sub.add_parser("stats", help="compute normalization percentiles from training years")
     p.add_argument("--input", required=True)
-    p.add_argument("--train-years", required=True, help='e.g. "2010-2019"')
+    p.add_argument("--train-years", type=_parse_years, required=True, help='e.g. "2010-2019"')
     p.add_argument("--output", help="write {p1, p99} JSON here")
     common(p)
 
@@ -529,10 +570,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--date", type=_parse_date)
     p.add_argument("--tau", type=int)
-    p.add_argument("--count", type=int, help="draw this many (date, tau) samples")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--train-years")
-    p.add_argument("--test-years")
+    p.add_argument("--count", type=_positive_int, help="draw this many (date, tau) samples")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --count draws (default 0)")
+    p.add_argument("--train-years", type=_parse_years)
+    p.add_argument("--test-years", type=_parse_years)
     p.add_argument("--role", choices=("train", "test"))
     p.add_argument("--output", help="manifest path")
     common(p)
@@ -589,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--rmse", required=True)
     p.add_argument("--date", type=_parse_date)
-    p.add_argument("--bins", default="3,4,5")
+    p.add_argument("--bins", type=_parse_bins, default="3,4,5")
     p.add_argument("--season", choices=("DJF", "MAM", "JJA", "SON"))
     p.add_argument("--output", help="stratification CSV")
     common(p)

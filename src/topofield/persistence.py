@@ -5,11 +5,13 @@ joined by edges, and unit squares are filled when all four corners exist.
 A cell enters the filtration at the perturbed value of its maximal vertex,
 so the filtration is a strict total order (ties broken by linear index).
 
-H1 pairs come from boundary-matrix reduction over Z2 of the square/edge
-matrix; H0 uses the equivalent union-find sweep of the sorted vertex/edge
-sequence. A pure-reduction route for both dimensions (with the clearing
-optimization) is exposed as :func:`sublevel_persistence_reduction`; the two
-must agree and are tested against each other.
+The default route, :func:`sublevel_persistence`, runs one elder-rule
+union-find kernel for both dimensions. H0 sweeps the edges upward over the
+vertices. H1 follows from image duality as H0 of the dual graph, whose
+nodes are the unit squares plus one outer face, with the edges swept
+downward. :func:`sublevel_persistence_reduction` reduces the Z2 boundary
+matrices instead (Python-int bitset columns, with clearing); it is the
+cross-check route, and the two are tested against each other.
 
 Pairs whose birth and death cells share the same maximal vertex are
 instantaneous in the perturbed filtration and never appear. Pairs with zero
@@ -75,109 +77,119 @@ class PersistenceDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Complex construction
+# Complex construction and the elder-rule kernel
+#
+# Cells are ordered by (rank, id), where a cell's rank is the rank of its
+# maximal vertex; a stable argsort of the ranks gives that order.
 
 
-def _grid_complex(values: np.ndarray):
-    """Vertex ranks plus filtration-sorted edges and squares.
+def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ranks as an (h, w) grid, and the field value at each rank."""
+    rank, order = vertex_ranks(values)
+    return rank.reshape(values.shape), values.ravel()[order]
 
-    Edges and squares are indexed by their position in the sorted order;
-    positions double as boundary-matrix row indices.
+
+def _edge_ends(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint ranks of every edge: horizontal edges first, each block row-major."""
+    return (
+        np.concatenate([rank[:, :-1].ravel(), rank[:-1, :].ravel()]),
+        np.concatenate([rank[:, 1:].ravel(), rank[1:, :].ravel()]),
+    )
+
+
+def _square_ranks(rank: np.ndarray) -> np.ndarray:
+    """Rank of every unit square, row-major."""
+    return np.maximum(
+        np.maximum(rank[:-1, :-1], rank[:-1, 1:]), np.maximum(rank[1:, :-1], rank[1:, 1:])
+    ).ravel()
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return inv
+
+
+def _elder_merges(n_nodes: int, ends_a: list[int], ends_b: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find sweep over edges listed in sweep order, by the elder rule.
+
+    Node ids run from oldest (0) to youngest, and each component is rooted
+    at its oldest node. When an edge joins two components, the younger root
+    dies there. Returns the sweep index of every merging edge and the root
+    it kills.
     """
-    h, w = values.shape
-    rank2 = vertex_ranks(values)
-    rank, order = rank2
-    vals_by_rank = values.ravel()[order]
-    rank = rank.reshape(h, w)
-
-    # Edge endpoints as (h, w)-grid ranks: horizontal then vertical.
-    e_rank_parts = []
-    if w > 1:
-        e_rank_parts.append(np.maximum(rank[:, :-1], rank[:, 1:]).ravel())
-    if h > 1:
-        e_rank_parts.append(np.maximum(rank[:-1, :], rank[1:, :]).ravel())
-    edge_rank = np.concatenate(e_rank_parts) if e_rank_parts else np.zeros(0, dtype=np.int64)
-    n_edges = edge_rank.size
-    edge_sorted = np.lexsort((np.arange(n_edges), edge_rank))
-    edge_pos = np.empty(n_edges, dtype=np.int64)
-    edge_pos[edge_sorted] = np.arange(n_edges)
-
-    if h > 1 and w > 1:
-        sq_rank = np.maximum(
-            np.maximum(rank[:-1, :-1], rank[:-1, 1:]),
-            np.maximum(rank[1:, :-1], rank[1:, 1:]),
-        ).ravel()
-    else:
-        sq_rank = np.zeros(0, dtype=np.int64)
-    n_squares = sq_rank.size
-    sq_sorted = np.lexsort((np.arange(n_squares), sq_rank))
-    return rank, vals_by_rank, edge_rank, edge_sorted, edge_pos, sq_rank, sq_sorted
-
-
-def _edge_endpoints(h: int, w: int, edge_id: int) -> tuple[int, int]:
-    """Flat endpoints of edge ``edge_id`` (horizontal block first)."""
-    n_horiz = h * (w - 1)
-    if edge_id < n_horiz:
-        i, j = divmod(edge_id, w - 1)
-        a = i * w + j
-        return a, a + 1
-    k = edge_id - n_horiz
-    i, j = divmod(k, w)
-    a = i * w + j
-    return a, a + w
-
-
-def _square_edges(h: int, w: int, sq_id: int) -> tuple[int, int, int, int]:
-    """The four boundary edge ids of square ``sq_id``."""
-    n_horiz = h * (w - 1)
-    i, j = divmod(sq_id, w - 1)
-    top = i * (w - 1) + j
-    bottom = (i + 1) * (w - 1) + j
-    left = n_horiz + i * w + j
-    right = n_horiz + i * w + j + 1
-    return top, bottom, left, right
+    parent = list(range(n_nodes))
+    steps: list[int] = []
+    dead: list[int] = []
+    for k, (x, y) in enumerate(zip(ends_a, ends_b)):
+        while parent[x] != x:  # path halving
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            steps.append(k)
+            dead.append(y)
+    return np.array(steps, dtype=np.int64), np.array(dead, dtype=np.int64)
 
 
 def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
-    """H0 pairs via the elder-rule union-find sweep of sorted edges."""
-    h, w = values.shape
-    rank, vals_by_rank, edge_rank, edge_sorted, _, _, _ = _grid_complex(values)
-    rank_flat = rank.ravel()
-    n = rank_flat.size
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    pairs: list[tuple[float, float]] = []
-    for eid in edge_sorted:
-        u, v = _edge_endpoints(h, w, int(eid))
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        # Elder rule: the later-born root dies at this edge.
-        if rank_flat[ru] > rank_flat[rv]:
-            ru, rv = rv, ru
-        er = int(edge_rank[eid])
-        young_birth = int(rank_flat[rv])
-        if young_birth != er:
-            pairs.append((float(vals_by_rank[young_birth]), float(vals_by_rank[er])))
-        parent[rv] = ru
-    roots = {find(i) for i in range(n)}
-    for r in sorted(roots, key=lambda x: rank_flat[x]):
-        pairs.append((float(vals_by_rank[rank_flat[r]]), INF))
-    return pairs
+    """H0 pairs: ascending edge sweep over the vertices, whose ranks are their ages."""
+    rank, vals = _ranked(values)
+    lo, hi = _edge_ends(rank)
+    edge_rank = np.maximum(lo, hi)
+    order = np.argsort(edge_rank, kind="stable")
+    steps, dead = _elder_merges(rank.size, lo[order].tolist(), hi[order].tolist())
+    death = edge_rank[order[steps]]
+    keep = dead != death
+    alive = np.ones(rank.size, dtype=bool)
+    alive[dead] = False
+    pairs = list(zip(vals[dead[keep]].tolist(), vals[death[keep]].tolist()))
+    return pairs + [(b, INF) for b in vals[alive].tolist()]
 
 
-def _reduce_columns(columns: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
-    """Left-to-right Z2 reduction; returns pivot row -> (column id, column bits)."""
+def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
+    """H1 pairs as H0 of the dual graph, swept from the top of the filtration.
+
+    The dual graph joins the two unit squares on either side of every edge;
+    a boundary edge leads to one outer face. Edges are swept in descending
+    order. A component's age is its latest square and the outer face is the
+    oldest, so a merging edge is the birth of a loop that the younger
+    component's latest square fills (image duality, Garin et al. 2020,
+    arXiv:2005.04597). A square ranks no lower than its edges, so every
+    square is present when its edges are swept.
+    """
+    rank, vals = _ranked(values)
+    h, w = rank.shape
+    sq_rank = _square_ranks(rank)
+    sq_order = np.argsort(sq_rank, kind="stable")
+    n_sq = sq_rank.size
+    # node 0 is the outer face (the padding); squares follow, latest first
+    node = np.zeros((h + 1, w + 1), dtype=np.int64)
+    node[1:h, 1:w] = (n_sq - _inverse(sq_order)).reshape(h - 1, w - 1)
+    # faces above/below each horizontal edge, then left/right of each vertical one
+    face_a = np.concatenate([node[:-1, 1:-1].ravel(), node[1:-1, :-1].ravel()])
+    face_b = np.concatenate([node[1:, 1:-1].ravel(), node[1:-1, 1:].ravel()])
+    lo, hi = _edge_ends(rank)
+    edge_rank = np.maximum(lo, hi)
+    order = np.argsort(edge_rank, kind="stable")[::-1]
+    steps, dead = _elder_merges(n_sq + 1, face_a[order].tolist(), face_b[order].tolist())
+    # list pairs in square order, as the reduction route does
+    by_square = np.argsort(-dead)
+    birth = edge_rank[order[steps[by_square]]]
+    death = sq_rank[sq_order[n_sq - dead[by_square]]]
+    keep = birth != death
+    return list(zip(vals[birth[keep]].tolist(), vals[death[keep]].tolist()))
+
+
+def _reduce_columns(columns: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Left-to-right Z2 reduction; returns pivot row -> (column index, column bits)."""
     pivots: dict[int, tuple[int, int]] = {}
-    for cid, col in columns:
+    for cid, col in enumerate(columns):
         while col:
             low = col.bit_length() - 1
             hit = pivots.get(low)
@@ -187,66 +199,6 @@ def _reduce_columns(columns: Iterable[tuple[int, int]]) -> dict[int, tuple[int, 
         if col:
             pivots[col.bit_length() - 1] = (cid, col)
     return pivots
-
-
-def _h1_reduction(values: np.ndarray):
-    """Reduce the square/edge boundary matrix.
-
-    Returns (pairs, cleared_edge_positions): the H1 (birth, death) list and
-    the set of edge positions paired as H1 births, reusable as the clearing
-    set for the dimension-0 reduction.
-    """
-    h, w = values.shape
-    _, vals_by_rank, edge_rank, edge_sorted, edge_pos, sq_rank, sq_sorted = _grid_complex(values)
-
-    def square_columns():
-        for sid in sq_sorted:
-            bits = 0
-            for e in _square_edges(h, w, int(sid)):
-                bits |= 1 << int(edge_pos[e])
-            yield int(sid), bits
-
-    pivots = _reduce_columns(square_columns())
-    pairs: list[tuple[float, float]] = []
-    cleared: set[int] = set(pivots.keys())
-    edge_by_pos = edge_sorted  # position -> edge id
-    for low, (sid, _) in pivots.items():
-        b_rank = int(edge_rank[edge_by_pos[low]])
-        d_rank = int(sq_rank[sid])
-        if b_rank != d_rank:
-            pairs.append((float(vals_by_rank[b_rank]), float(vals_by_rank[d_rank])))
-    n_squares = sq_rank.size
-    if len(pivots) != n_squares:
-        # A zero square column would be a 2-cycle; impossible on a planar patch.
-        raise AssertionError("square/edge reduction produced a zero column")
-    return pairs, cleared
-
-
-def _h0_reduction(values: np.ndarray, cleared: set[int]) -> list[tuple[float, float]]:
-    """H0 pairs via edge/vertex reduction, skipping cleared columns."""
-    h, w = values.shape
-    rank, vals_by_rank, edge_rank, edge_sorted, _, _, _ = _grid_complex(values)
-    rank_flat = rank.ravel()
-
-    def edge_columns():
-        for pos, eid in enumerate(edge_sorted):
-            if pos in cleared:
-                continue
-            u, v = _edge_endpoints(h, w, int(eid))
-            yield int(eid), (1 << int(rank_flat[u])) | (1 << int(rank_flat[v]))
-
-    pivots = _reduce_columns(edge_columns())
-    pairs: list[tuple[float, float]] = []
-    for low, (eid, _) in pivots.items():
-        er = int(edge_rank[eid])
-        if low != er:
-            pairs.append((float(vals_by_rank[low]), float(vals_by_rank[er])))
-    # Vertex ranks never used as a pivot row are components that survive.
-    paired = set(pivots.keys())
-    for r in range(rank_flat.size):
-        if r not in paired:
-            pairs.append((float(vals_by_rank[r]), INF))
-    return pairs
 
 
 def sublevel_persistence(field, dim: int) -> PersistenceDiagram:
@@ -259,25 +211,50 @@ def sublevel_persistence(field, dim: int) -> PersistenceDiagram:
     if dim == 0:
         return PersistenceDiagram(0, tuple(_h0_union_find(values)))
     if dim == 1:
-        pairs, _ = _h1_reduction(values)
-        return PersistenceDiagram(1, tuple(pairs))
+        return PersistenceDiagram(1, tuple(_h1_union_find(values)))
     raise DimensionMismatch(f"dimension must be 0 or 1, got {dim}")
 
 
 def sublevel_persistence_reduction(field, dim: int) -> PersistenceDiagram:
     """Boundary-matrix route for both dimensions, with clearing.
 
-    Dimension-2 columns are reduced first; edges paired there are cleared
-    before the dimension-1 reduction. Agrees with
-    :func:`sublevel_persistence` on every input.
+    Columns are Python-int bitsets over rows in filtration order. The
+    square/edge matrix is reduced first; for dimension 0, the edges it pairs
+    are cleared (their columns zeroed) before the edge/vertex reduction.
+    Agrees with :func:`sublevel_persistence` on every input.
     """
     values = as_values(field)
     if dim not in (0, 1):
         raise DimensionMismatch(f"dimension must be 0 or 1, got {dim}")
-    h1_pairs, cleared = _h1_reduction(values)
+    rank, vals = _ranked(values)
+    h, w = rank.shape
+    lo, hi = _edge_ends(rank)
+    edge_rank = np.maximum(lo, hi)
+    edge_order = np.argsort(edge_rank, kind="stable")
+    sq_rank = _square_ranks(rank)
+    sq_order = np.argsort(sq_rank, kind="stable")
+    horiz = np.arange(h * (w - 1)).reshape(h, w - 1)
+    vert = horiz.size + np.arange((h - 1) * w).reshape(h - 1, w)
+    # the four edges of each square: top, bottom, left, right
+    sides = np.stack([horiz[:-1].ravel(), horiz[1:].ravel(), vert[:, :-1].ravel(), vert[:, 1:].ravel()], 1)
+    squares = _inverse(edge_order)[sides[sq_order]].tolist()
+    h1 = _reduce_columns((1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in squares)
+    if len(h1) != sq_rank.size:
+        # A zero square column would be a 2-cycle; impossible on a planar patch.
+        raise AssertionError("square/edge reduction produced a zero column")
+    edge_rank = edge_rank[edge_order]
+    essential: list[int] = []
     if dim == 1:
-        return PersistenceDiagram(1, tuple(h1_pairs))
-    return PersistenceDiagram(0, tuple(_h0_reduction(values, cleared)))
+        sq_rank = sq_rank[sq_order]
+        pairs = [(edge_rank[low], sq_rank[k]) for low, (k, _) in h1.items()]
+    else:
+        ends = np.stack([lo, hi], 1)[edge_order].tolist()
+        h0 = _reduce_columns(0 if pos in h1 else (1 << a) | (1 << b) for pos, (a, b) in enumerate(ends))
+        pairs = [(low, edge_rank[k]) for low, (k, _) in h0.items()]
+        # vertex ranks never used as a pivot row are components that survive
+        essential = [r for r in range(rank.size) if r not in h0]
+    finite = [(float(vals[b]), float(vals[d])) for b, d in pairs if b != d]
+    return PersistenceDiagram(dim, tuple(finite + [(float(vals[r]), INF) for r in essential]))
 
 
 def filter_by_persistence(pd: PersistenceDiagram, min_persistence: float) -> PersistenceDiagram:
@@ -292,14 +269,6 @@ def filter_by_persistence(pd: PersistenceDiagram, min_persistence: float) -> Per
 
 # ---------------------------------------------------------------------------
 # Bottleneck distance
-
-
-def _inf_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
-def _half_persistence(p: tuple[float, float]) -> float:
-    return (p[1] - p[0]) / 2.0
 
 
 def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> int:
@@ -353,28 +322,34 @@ def _saturates(forced: np.ndarray, dist_rows: np.ndarray, t: float) -> bool:
     """Can every forced point be matched injectively within distance t?"""
     if forced.size == 0:
         return True
-    if dist_rows.size == 0:
+    rows, cols = np.nonzero(dist_rows[forced] <= t)
+    degree = np.bincount(rows, minlength=forced.size)
+    if not degree.all():
         return False
-    adj = []
-    for i in forced:
-        row = np.nonzero(dist_rows[i] <= t)[0]
-        if row.size == 0:
-            return False
-        adj.append(row.tolist())
-    return _hopcroft_karp(len(adj), dist_rows.shape[1], adj) == len(adj)
+    cols = cols.tolist()
+    ends = np.cumsum(degree).tolist()
+    adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
+    return _hopcroft_karp(forced.size, dist_rows.shape[1], adj) == forced.size
 
 
-def _matching_feasible(half_a, half_b, dist: np.ndarray, t: float) -> bool:
+def _matching_feasible(half_a, half_b, dist: np.ndarray, dist_t: np.ndarray, t: float) -> bool:
     """Matching-with-diagonal feasibility at threshold t.
 
     A matching within t exists iff the points forced off the diagonal
     (half-persistence above t) on each side can each be covered on their
     own: by the Mendelsohn-Dulmage theorem two one-sided coverings merge
-    into one matching covering both.
+    into one matching covering both. ``dist_t`` is ``dist`` transposed and
+    C-contiguous, so each side's test gathers whole rows.
     """
     forced_a = np.nonzero(half_a > t)[0]
     forced_b = np.nonzero(half_b > t)[0]
-    return _saturates(forced_a, dist, t) and _saturates(forced_b, dist.T, t)
+    return _saturates(forced_a, dist, t) and _saturates(forced_b, dist_t, t)
+
+
+def _linf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L-infinity distance from every point of p (rows) to every point of q."""
+    dist = np.abs(np.subtract.outer(p[:, 0], q[:, 0]))
+    return np.maximum(dist, np.abs(np.subtract.outer(p[:, 1], q[:, 1])), out=dist)
 
 
 def _finite_bottleneck(a: list, b: list) -> float:
@@ -389,31 +364,21 @@ def _finite_bottleneck(a: list, b: list) -> float:
     arr_b = np.asarray(b, dtype=np.float64).reshape(len(b), 2)
     half_a = (arr_a[:, 1] - arr_a[:, 0]) / 2.0
     half_b = (arr_b[:, 1] - arr_b[:, 0]) / 2.0
-    if len(a) and len(b):
-        dist = np.maximum(
-            np.abs(arr_a[:, 0, None] - arr_b[None, :, 0]),
-            np.abs(arr_a[:, 1, None] - arr_b[None, :, 1]),
-        )
-    else:
-        dist = np.zeros((len(a), len(b)))
+    dist = _linf(arr_a, arr_b)
     # the all-diagonal matching caps the optimum, so larger costs are noise
-    upper = max(half_a.max() if len(a) else 0.0, half_b.max() if len(b) else 0.0)
-    candidates = {0.0, upper}
-    candidates.update(half_a[half_a <= upper].tolist())
-    candidates.update(half_b[half_b <= upper].tolist())
-    if dist.size:
-        candidates.update(dist[dist <= upper].ravel().tolist())
-    levels = sorted(candidates)
+    halves = np.concatenate([half_a, half_b])
+    levels = np.unique(np.concatenate(([0.0], halves, dist[dist <= halves.max()])))
+    dist_t = _linf(arr_b, arr_a)
     lo, hi = 0, len(levels) - 1
-    if not _matching_feasible(half_a, half_b, dist, levels[hi]):
+    if not _matching_feasible(half_a, half_b, dist, dist_t, levels[hi]):
         raise AssertionError("bottleneck search has no feasible candidate")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(half_a, half_b, dist, levels[mid]):
+        if _matching_feasible(half_a, half_b, dist, dist_t, levels[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return levels[lo]
+    return float(levels[lo])
 
 
 def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:

@@ -336,3 +336,81 @@ def test_module_entry_point(tmp_path, raw_stack):
     )
     assert proc.returncode == 0
     assert "p99" in json.loads(proc.stdout)
+
+
+# ---------------------------------------------------------------------------
+# Error contract: a bad flag value is a usage error (exit 2), a bad input file
+# a domain error (exit 1); neither escapes as a traceback.
+
+
+def test_bad_bins_is_usage_error(capsys):
+    assert run(["stratify", "--lambda", "lam.gfs", "--rmse", "err.gfs", "--bins", "a,b"]) == 2
+    assert "error [usage]: argument --bins" in capsys.readouterr().err
+
+
+def test_bad_train_years_is_usage_error(raw_stack, capsys):
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "abc"]) == 2
+    assert "error [usage]: argument --train-years" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ['{"p99": 300.0}', '{"p1": "x", "p99": 300.0}', "[1, 2]", "{not json"])
+def test_bad_stats_file_is_exit_1(tmp_path, raw_stack, content, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    out = tmp_path / "out.gfs"
+    assert run(["normalize", "--input", str(raw_stack), "--stats", str(bad), "--output", str(out)]) == 1
+    assert "error [format_error]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_scores_file_is_exit_1(tmp_path, capsys):
+    pred = make_norm_stack(tmp_path, "p.gfs", n=1, seed=8)
+    truth = make_norm_stack(tmp_path, "t.gfs", n=1, seed=9)
+    fake = tmp_path / "fake.json"
+    fake.write_text("[0.5,")
+    assert run(["losses", "--pred", str(pred), "--truth", str(truth), "--fake-scores", str(fake)]) == 1
+    assert "error [format_error]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_threads_below_one_is_usage_error(tmp_path, raw_stack, stats_file, value, capsys):
+    out = tmp_path / "x.gfs"
+    args = ["channels", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(out)]
+    assert run(args + ["--threads", value]) == 2
+    assert "error [usage]: argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_count_below_one_is_usage_error(capsys):
+    assert run(["sample", "--input", "x.gfs", "--count", "-5"]) == 2
+    assert "error [usage]: argument --count" in capsys.readouterr().err
+
+
+def test_threads_below_one_from_config_is_exit_1(tmp_path, raw_stack, stats_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    out = tmp_path / "x.gfs"
+    args = ["channels", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(out)]
+    assert run(args + ["--config", str(cfg)]) == 1
+    assert "error [format_error]: --threads must be at least 1" in capsys.readouterr().err
+
+
+def test_sample_count_is_deterministic_without_seed(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CLIMATE_SPEC))
+    raw = tmp_path / "climate.gfs"
+    assert run(["synth", "--spec", str(spec), "--output", str(raw)]) == 0
+    stats = tmp_path / "stats.json"
+    assert run(["stats", "--input", str(raw), "--train-years", "2010-2012", "--output", str(stats)]) == 0
+    x = tmp_path / "x.gfs"
+    assert run(["channels", "--input", str(raw), "--stats", str(stats), "--output", str(x)]) == 0
+    manifests = [tmp_path / f"m{k}.txt" for k in range(3)]
+    seeds = ([], [], ["--seed", "0"])
+    outs = []
+    for manifest, seed in zip(manifests, seeds):
+        capsys.readouterr()
+        assert run(["sample", "--input", str(x), "--count", "6", "--output", str(manifest), "--json"] + seed) == 0
+        outs.append(capsys.readouterr().out)
+    assert manifests[0].read_bytes() == manifests[1].read_bytes() == manifests[2].read_bytes()
+    assert outs[0] == outs[1] == outs[2]
+    assert len(manifests[0].read_text().splitlines()) == 6
