@@ -132,13 +132,14 @@ def _parse_date(s: str) -> dt.date:
 
 def _resolve_threads(args) -> int:
     """--threads (or its config value), else $TOPOFIELD_THREADS, else all cores."""
-    env = os.environ.get(THREADS_ENV) or None
-    for source, value in (("--threads", args.threads), (THREADS_ENV, env)):
-        if value is not None:
-            try:
-                return _positive_int(value)
-            except argparse.ArgumentTypeError as exc:
-                raise FormatError(f"{source} {exc}") from None
+    if args.threads is not None:
+        return args.threads
+    env = os.environ.get(THREADS_ENV)
+    if env:
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise FormatError(f"{THREADS_ENV} {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -717,14 +718,33 @@ def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
-    """Config values become defaults; flags they cover stop being required."""
-    parser.set_defaults(**config)
+    """Config values become defaults; flags they cover stop being required.
+
+    A value for a flag with a type is parsed by that type as the flag's text
+    would be: a bad value is a format error, a list or object a usage error.
+    """
     for sub in _subparsers(parser):
-        sub.set_defaults(**{k: v for k, v in config.items()
-                            if k in {a.dest for a in sub._actions}})
+        defaults = {}
         for action in sub._actions:
-            if action.dest in config and action.required:
-                action.required = False
+            if action.dest not in config:
+                continue
+            value = config[action.dest]
+            if action.type is not None and value is not None:
+                flag = action.option_strings[0]
+                if isinstance(value, (list, dict)):
+                    parser.error(f"config value for {flag} must be a single value, got {value!r}")
+                try:
+                    value = action.type(str(value))
+                except (argparse.ArgumentTypeError, ValueError) as exc:
+                    raise FormatError(f"{flag} {exc} (config value {value!r})") from None
+            defaults[action.dest] = value
+            action.required = False
+        sub.set_defaults(**defaults)
+
+
+def _fail(code: str, exc: Exception) -> int:
+    print(f"error [{code}]: {exc}", file=sys.stderr)
+    return 1
 
 
 def run(argv=None) -> int:
@@ -732,29 +752,26 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         config = _pop_config(argv)
-    except (TopofieldError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
-        return 1
-    if config:
-        unknown = sorted(set(config) - _known_dests(parser))
-        if unknown:
-            print(f"error [config]: unknown config keys: {unknown}", file=sys.stderr)
-            return 2
+    except (TopofieldError, FileNotFoundError, ValueError) as exc:  # ValueError: bad bytes or JSON
+        return _fail("config", exc)
+    except OSError as exc:
+        return _fail("io_error", exc)
+    unknown = sorted(set(config) - _known_dests(parser))
+    if unknown:
+        print(f"error [config]: unknown config keys: {unknown}", file=sys.stderr)
+        return 2
+    try:
         _apply_config(parser, config)
-    try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if isinstance(getattr(args, "date", None), str):
-        args.date = _parse_date(args.date)
-    try:
         result = _COMMANDS[args.command](args)
+    except SystemExit as exc:  # usage errors, --help
+        return int(exc.code or 0)
     except TopofieldError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc.code, exc)
     except FileNotFoundError as exc:
-        print(f"error [missing_file]: {exc}", file=sys.stderr)
-        return 1
+        return _fail("missing_file", exc)
+    except OSError as exc:
+        return _fail("io_error", exc)
     _emit(result, args, _human(result))
     return 0
 

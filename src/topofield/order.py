@@ -1,9 +1,10 @@
-"""Symbolic-perturbation total order on grid cells.
+"""The one total order on grid cells: vertex ranks.
 
-Ties between equal field values are broken by row-major linear index, i.e.
-cell values compare as the pair (value, index). Critical-point
-classification, contour extraction, and persistence all share this order so
-they see one consistent strictly-monotone field.
+Ties between equal field values are broken by row-major linear index
+(symbolic perturbation), so cells compare as the pair (value, index). A
+cell's rank is its position in that ascending order. Critical-point
+classification, saddle contours and persistence all compare these integer
+ranks, so they see one strictly monotone field.
 """
 
 from __future__ import annotations
@@ -11,27 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def linear_indices(shape: tuple[int, int]) -> np.ndarray:
-    """Row-major linear index of every cell, shaped like the grid."""
-    h, w = shape
-    return np.arange(h * w, dtype=np.int64).reshape(h, w)
-
-
-def perturbed_gt(va: np.ndarray, ia: np.ndarray, vb, ib) -> np.ndarray:
-    """Elementwise (va, ia) > (vb, ib) lexicographically."""
-    return (va > vb) | ((va == vb) & (ia > ib))
-
-
 def vertex_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank every cell in the perturbed order.
+    """Rank every cell of a grid, or of each grid along leading batch axes.
 
-    Returns ``(rank, order)`` over flattened cells: ``rank[i]`` is the
-    position of cell i in the ascending perturbed order, and ``order[r]``
-    is the flat cell index occupying position r (so ``order`` inverts
-    ``rank``).
+    Returns ``(rank, order)`` over the flattened cells of each grid, both of
+    shape ``values.shape[:-2] + (h * w,)``: ``rank[..., i]`` is the position
+    of cell i in the ascending perturbed order, and ``order[..., r]`` is the
+    flat cell index at position r (so ``order`` inverts ``rank``). A stable
+    sort keeps equal values in index order.
     """
-    flat = values.ravel()
-    order = np.lexsort((np.arange(flat.size), flat))
-    rank = np.empty(flat.size, dtype=np.int64)
-    rank[order] = np.arange(flat.size)
+    flat = values.reshape(values.shape[:-2] + (values.shape[-2] * values.shape[-1],))
+    order = np.argsort(flat, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(flat.shape[-1]), axis=-1)
     return rank, order

@@ -1,10 +1,11 @@
-"""Structural-channel extraction: critical points and saddle-level contours.
+"""Structural channels [SF, T, V, C]: critical points and saddle-level contours.
 
-Every interior cell is classified against its 8-neighbor ring under the
-perturbed order (so all comparisons are strict). Saddle-level iso-contours
-are rasterized with marching squares into a binary pixel mask. The four
-channels [SF, T, V, C] together form the structural representation of one
-daily field; they depend on that field only.
+Every decision compares the integer vertex ranks of :mod:`.order`, so all
+comparisons are strict. Interior cells are classified on their 8-neighbour
+ring; a grid edge is on a saddle's contour when the saddle's rank lies
+strictly between its endpoints' ranks. One private kernel maps an
+``(n, h, w)`` block of fields to ``(n, 4, h, w)``; the public functions are
+views over it, and each date's channels depend on that date only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError, GridTooSmall, OutOfRange
 from .field import FieldStack, ScalarField, as_values
-from .order import linear_indices, perturbed_gt
+from .order import vertex_ranks
 
 # Stored T-channel codes, scaled into [0, 1] like every other channel.
 T_REGULAR = 0.0
@@ -27,6 +28,10 @@ T_SADDLE = 1.0
 
 # Ring walk order: N, NE, E, SE, S, SW, W, NW as (drow, dcol).
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+# Cells per kernel call on the stack path (at least one field per call): it
+# bounds the kernel's working arrays whatever the stack length.
+_CHUNK_CELLS = 1 << 16
 
 
 class CriticalKind(enum.Enum):
@@ -80,110 +85,113 @@ class MultiChannelField:
         )
 
 
-def classify_critical_points(field) -> list[CriticalPoint]:
-    """Classify every interior cell by 8-ring sign changes.
+def _type_map(rank: np.ndarray) -> np.ndarray:
+    """T codes of an (n, h, w) rank block by 8-ring sign changes.
 
-    Walking the ring cyclically and recording sign(neighbor - center) under
-    the perturbed order: 0 changes with an all-lower ring is a maximum, 0
-    with an all-higher ring a minimum, and 4 or more changes a saddle
-    (multi-saddles included). 2 changes is regular; boundary cells are
-    never classified.
+    Walking the ring cyclically: 0 changes with an all-lower ring is a
+    maximum, 0 with an all-higher ring a minimum, and 4 or more changes a
+    saddle (multi-saddles included). 2 changes is regular; boundary cells
+    are never classified.
     """
-    values = as_values(field)
-    h, w = values.shape
+    n, h, w = rank.shape
     if h < 3 or w < 3:
         raise GridTooSmall(f"classification needs at least 3x3, got {h}x{w}")
-    idx = linear_indices((h, w))
-    center_v = values[1:-1, 1:-1]
-    center_i = idx[1:-1, 1:-1]
-    above = np.empty((8, h - 2, w - 2), dtype=bool)
-    for k, (dr, dc) in enumerate(_RING):
-        nb_v = values[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
-        nb_i = idx[1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc]
-        above[k] = perturbed_gt(nb_v, nb_i, center_v, center_i)
+    center = rank[:, 1:-1, 1:-1]
+    above = np.stack([rank[:, 1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc] > center for dr, dc in _RING])
     changes = (above != np.roll(above, -1, axis=0)).sum(axis=0)
     n_above = above.sum(axis=0)
-    is_max = (changes == 0) & (n_above == 0)
-    is_min = (changes == 0) & (n_above == 8)
-    is_saddle = changes >= 4
+    t = np.zeros(rank.shape)
+    inner = t[:, 1:-1, 1:-1]
+    inner[(changes == 0) & (n_above == 0)] = T_MAXIMUM
+    inner[(changes == 0) & (n_above == 8)] = T_MINIMUM
+    inner[changes >= 4] = T_SADDLE
+    return t
 
-    points: list[CriticalPoint] = []
-    for kind, mask in (
-        (CriticalKind.MAXIMUM, is_max),
-        (CriticalKind.MINIMUM, is_min),
-        (CriticalKind.SADDLE, is_saddle),
-    ):
-        for r, c in zip(*np.nonzero(mask)):
-            points.append(CriticalPoint(int(r) + 1, int(c) + 1, kind, float(values[r + 1, c + 1])))
-    points.sort(key=lambda p: (p.row, p.col))
-    return points
+
+def _contour_mask(keys: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Cells at either end of a grid edge whose endpoint keys strictly straddle a level.
+
+    ``keys`` are distinct integers over the last two axes; ``levels`` is sorted.
+    """
+    mask = np.zeros(keys.shape, dtype=bool)
+    # horizontal edges, then vertical ones through transposed views
+    for k, m in ((keys, mask), (keys.swapaxes(-1, -2), mask.swapaxes(-1, -2))):
+        lo, hi = np.minimum(k[..., :-1], k[..., 1:]), np.maximum(k[..., :-1], k[..., 1:])
+        crossed = np.searchsorted(levels, hi, "left") > np.searchsorted(levels, lo, "right")
+        m[..., :-1] |= crossed
+        m[..., 1:] |= crossed
+    return mask
+
+
+def _channels(block: np.ndarray) -> np.ndarray:
+    """The kernel: [SF, T, V, C] of an (n, h, w) block of fields, shape (n, 4, h, w)."""
+    n, h, w = block.shape
+    rank = vertex_ranks(block)[0].reshape(block.shape)
+    t = _type_map(rank)
+    # offset each field's ranks so one sorted level array serves the block
+    keys = rank + (np.arange(n) * (h * w))[:, None, None]
+    c = _contour_mask(keys, np.sort(keys[t == T_SADDLE]))
+    return np.stack([block, t, np.where(t != T_REGULAR, block, 0.0), c.astype(np.float64)], axis=1)
+
+
+def _check_normalized(values: np.ndarray) -> None:
+    if values.size and (values.min() < -1e-9 or values.max() > 1.0 + 1e-9):
+        raise OutOfRange("structural channels are built on [0, 1]-normalized fields")
+
+
+def classify_critical_points(field) -> list[CriticalPoint]:
+    """Critical points of one field in row-major order, read from its T map."""
+    values = as_values(field)
+    t = _type_map(vertex_ranks(values)[0].reshape((1,) + values.shape))[0]
+    kinds = dict(zip((T_MAXIMUM, T_MINIMUM, T_SADDLE), CriticalKind))
+    rows, cols = np.nonzero(t)
+    return [CriticalPoint(int(r), int(c), kinds[t[r, c]], float(values[r, c])) for r, c in zip(rows, cols)]
 
 
 def extract_saddle_contours(field, saddles: list[CriticalPoint]) -> ScalarField:
-    """Binary mask of pixels adjacent to saddle-level iso-line crossings.
-
-    For each saddle, a grid edge is crossed when the saddle's perturbed
-    value lies strictly between the perturbed values of the edge's two
-    endpoint pixels; both endpoints of every crossed edge are marked.
-    Masks from multiple saddles are OR-ed.
-    """
+    """Binary mask of both endpoints of every grid edge crossing a saddle's level."""
     values = as_values(field)
     h, w = values.shape
-    idx = linear_indices((h, w))
-    mask = np.zeros((h, w), dtype=bool)
     for s in saddles:
         if s.kind is not CriticalKind.SADDLE:
             raise FormatError(f"non-saddle point ({s.row}, {s.col}) passed to contour extraction")
         if not (0 <= s.row < h and 0 <= s.col < w):
             raise FormatError(f"saddle ({s.row}, {s.col}) lies outside the {h}x{w} grid")
-        level_v = values[s.row, s.col]
-        level_i = idx[s.row, s.col]
-        above = perturbed_gt(values, idx, level_v, level_i)
-        below = ~above
-        below[s.row, s.col] = False  # the saddle pixel sits exactly at the level
-        cross_h = (above[:, :-1] & below[:, 1:]) | (below[:, :-1] & above[:, 1:])
-        cross_v = (above[:-1, :] & below[1:, :]) | (below[:-1, :] & above[1:, :])
-        mask[:, :-1] |= cross_h
-        mask[:, 1:] |= cross_h
-        mask[:-1, :] |= cross_v
-        mask[1:, :] |= cross_v
-    return ScalarField(mask.astype(np.float64))
+    rank = vertex_ranks(values)[0].reshape(h, w)
+    levels = np.sort(np.array([rank[s.row, s.col] for s in saddles], dtype=rank.dtype))
+    return ScalarField(_contour_mask(rank, levels).astype(np.float64))
 
 
 def build_structural_channels(field: ScalarField) -> MultiChannelField:
     """Assemble the 4-channel representation of one normalized field."""
     values = as_values(field)
-    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
-        raise OutOfRange("structural channels are built on [0, 1]-normalized fields")
-    points = classify_critical_points(values)
-    t = np.zeros_like(values)
-    v = np.zeros_like(values)
-    code = {
-        CriticalKind.MAXIMUM: T_MAXIMUM,
-        CriticalKind.MINIMUM: T_MINIMUM,
-        CriticalKind.SADDLE: T_SADDLE,
-    }
-    for p in points:
-        t[p.row, p.col] = code[p.kind]
-        v[p.row, p.col] = p.value
-    saddles = [p for p in points if p.kind is CriticalKind.SADDLE]
-    c = extract_saddle_contours(values, saddles)
+    _check_normalized(values)
+    _, t, v, c = _channels(values[None])[0]
     sf = field if isinstance(field, ScalarField) else ScalarField(values)
-    return MultiChannelField(sf, StructuralChannels(ScalarField(t), ScalarField(v), c))
+    return MultiChannelField(sf, StructuralChannels(ScalarField(t), ScalarField(v), ScalarField(c)))
 
 
 def build_structural_stack(stack: FieldStack, threads: int | None = None) -> FieldStack:
-    """Expand a 1-channel normalized stack into the 4-channel [SF, T, V, C] stack."""
+    """Expand a 1-channel normalized stack into the 4-channel [SF, T, V, C] stack.
+
+    The stack is checked once, then mapped through the kernel in chunks of
+    about ``_CHUNK_CELLS`` cells, on a thread pool when ``threads > 1``.
+    """
     if stack.channels != 1:
         raise FormatError(f"expected a 1-channel stack, got {stack.channels}")
+    values = stack.values[:, 0]
+    _check_normalized(values)
+    n, h, w = values.shape
+    out = np.empty((n, 4, h, w))
+    per_chunk = max(1, _CHUNK_CELLS // max(1, h * w))
+    chunks = [slice(i, i + per_chunk) for i in range(0, n, per_chunk)]
 
-    def one(i: int) -> np.ndarray:
-        return build_structural_channels(stack.field(i)).to_array()
+    def fill(chunk: slice) -> None:
+        out[chunk] = _channels(values[chunk])
 
-    n = len(stack)
-    if threads is not None and threads > 1 and n > 1:
+    if threads is not None and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            arrays = list(pool.map(one, range(n)))
+            list(pool.map(fill, chunks))
     else:
-        arrays = [one(i) for i in range(n)]
-    return FieldStack(stack.dates, np.stack(arrays) if arrays else np.zeros((0, 4, stack.height, stack.width)))
+        list(map(fill, chunks))
+    return FieldStack(stack.dates, out)

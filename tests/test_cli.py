@@ -414,3 +414,52 @@ def test_sample_count_is_deterministic_without_seed(tmp_path, capsys):
     assert manifests[0].read_bytes() == manifests[1].read_bytes() == manifests[2].read_bytes()
     assert outs[0] == outs[1] == outs[2]
     assert len(manifests[0].read_text().splitlines()) == 6
+
+
+def test_numeric_config_value_is_parsed_like_the_flag(tmp_path, raw_stack, capsys):
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--json"]) == 0
+    by_flag = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_years": 2015, "threads": 1}))
+    assert run(["stats", "--input", str(raw_stack), "--config", str(cfg), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == by_flag
+
+
+@pytest.mark.parametrize("value", [[2010], {"from": 2010}])
+def test_list_or_object_config_value_is_usage_error(tmp_path, raw_stack, value, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_years": value}))
+    assert run(["stats", "--input", str(raw_stack), "--config", str(cfg)]) == 2
+    assert "error [usage]: config value for --train-years" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_its_flag(tmp_path, raw_stack, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"date": "not-a-date"}))
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 1
+    assert "error [format_error]: --date" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_exit_1(tmp_path, raw_stack, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 1
+    assert "error [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["stats-input", "output", "config"])
+def test_directory_path_is_io_error(tmp_path, raw_stack, case, capsys):
+    out = tmp_path / "out.gfs"
+    args = {
+        "stats-input": ["normalize", "--input", str(raw_stack), "--stats", str(tmp_path), "--output", str(out)],
+        "output": ["stats", "--input", str(raw_stack), "--train-years", "2015", "--output", str(tmp_path)],
+        "config": ["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(tmp_path)],
+    }[case]
+    assert run(args) == 1
+    assert "error [io_error]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_input_keeps_missing_file_code(tmp_path, capsys):
+    assert run(["stats", "--input", str(tmp_path / "nope.gfs"), "--train-years", "2015"]) == 1
+    assert "error [missing_file]" in capsys.readouterr().err
