@@ -16,6 +16,7 @@ from .field import (
     SplitSpec,
     compute_norm_stats,
     denormalize,
+    denormalize_stack,
     normalize,
     normalize_stack,
 )
@@ -51,6 +52,7 @@ from .metrics import (
     EvalRecord,
     StratRow,
     acc,
+    evaluate_stack,
     kde_overlap,
     lambda_bin_analysis,
     lead_time_curves,

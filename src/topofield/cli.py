@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +24,17 @@ from .field import (
     NormStats,
     SplitSpec,
     compute_norm_stats,
-    denormalize,
+    denormalize_stack,
+    denormalized,
     normalize_stack,
 )
-from .fusion import LambdaMap, RegWeights, apply_residual, entropy_term, fuse, l_reg, mean_balance, tv
+from .fusion import LambdaMap, RegWeights, add_residual, blend, entropy_term, l_reg, mean_balance, tv
 from .losses import GateSchedule, LossWeights, content_loss, hinge_d, hinge_g, loss_report, topo_loss
 from .metrics import (
     BinSpec,
+    evaluate_stack,
     kde_overlap,
     lambda_bin_analysis,
-    make_eval_record,
-    season_of,
     seasonal_summary,
 )
 from .persistence import (
@@ -176,6 +175,38 @@ def _pick_date(stack: FieldStack, date: dt.date | None, what: str) -> int:
     return idx
 
 
+def _date_indices(stack: FieldStack, dates, missing: str) -> np.ndarray:
+    """Index of each date's field in ``stack``; a one-field stack serves every date."""
+    if len(stack) == 1:
+        return np.zeros(len(dates), dtype=np.intp)
+    idx = [stack.index_of(d) for d in dates]
+    for d, i in zip(dates, idx):
+        if i is None:
+            raise FormatError(f"{missing} for {d.isoformat()}")
+    return np.array(idx, dtype=np.intp)
+
+
+def _values_at(stack: FieldStack, dates, missing: str) -> np.ndarray:
+    """``stack``'s values for ``dates``, uncopied when its dates are those or it holds one field."""
+    if len(stack) == 1 or stack.dates == dates:
+        return stack.values  # one field broadcasts over the dates
+    return stack.values[_date_indices(stack, dates, missing)]
+
+
+def _cell(x) -> str:
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return x.isoformat() if isinstance(x, dt.date) else str(x)
+
+
+def _write_csv(path, header, rows) -> None:
+    """One header line, then one line per row; floats keep 17 significant digits."""
+    lines = [",".join(header)] + [",".join(_cell(x) for x in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _scores_from_json(path) -> np.ndarray:
     data = _read_json(path, "scores file")
     try:
@@ -201,13 +232,7 @@ def _cmd_stats(args) -> dict:
 def _cmd_normalize(args) -> dict:
     stack = gfs.read_stack(args.input)
     stats = _load_stats(args.stats)
-    if args.invert:
-        fields = [denormalize(stack.field(i, c), stats).values
-                  for i in range(len(stack)) for c in range(stack.channels)]
-        arr = np.stack(fields).reshape(stack.values.shape)
-        out = FieldStack(stack.dates, arr)
-    else:
-        out = normalize_stack(stack, stats)
+    out = (denormalize_stack if args.invert else normalize_stack)(stack, stats)
     gfs.write_stack(out, args.output)
     return {"n_fields": len(out), "output": str(args.output), "inverted": bool(args.invert)}
 
@@ -302,20 +327,12 @@ def _cmd_fuse(args) -> dict:
     residual = _single_channel(gfs.read_stack(args.residual), "--residual") if args.residual else None
     if inter.dates != intra.dates:
         raise FormatError("--inter and --intra stacks cover different dates")
-    out_fields = []
-    for i, date in enumerate(inter.dates):
-        li = lam_stack.index_of(date) if len(lam_stack) > 1 else 0
-        if li is None:
-            raise FormatError(f"--lambda has no map for {date.isoformat()}")
-        fused = fuse(inter.field(i), intra.field(i), LambdaMap.of(lam_stack.field(li)))
-        if residual is not None:
-            ri = residual.index_of(date) if len(residual) > 1 else 0
-            if ri is None:
-                raise FormatError(f"--residual has no field for {date.isoformat()}")
-            fused = apply_residual(fused, residual.field(ri))
-        vals = np.clip(fused.values, 0.0, 1.0) if args.clamp else fused.values
-        out_fields.append(vals)
-    out = FieldStack(inter.dates, np.stack(out_fields)[:, None, :, :])
+    vals = blend(inter.values, intra.values, _values_at(lam_stack, inter.dates, "--lambda has no map"))
+    if residual is not None:
+        vals = add_residual(vals, _values_at(residual, inter.dates, "--residual has no field"))
+    if args.clamp:
+        np.clip(vals, 0.0, 1.0, out=vals)
+    out = FieldStack._adopt(inter.dates, vals)
     gfs.write_stack(out, args.output)
     return {"n_fields": len(out), "clamped": bool(args.clamp), "output": str(args.output)}
 
@@ -371,101 +388,29 @@ def _cmd_evaluate(args) -> dict:
     stats = _load_stats(args.stats)
     if pred.dates != truth.dates:
         raise FormatError("--pred and --truth stacks cover different dates")
-
-    def clim_index(date: dt.date) -> int:
-        if len(clim) == 1:
-            return 0
-        ci = clim.index_of(date)
-        if ci is None:
-            raise FormatError(f"--clim has no field for {date.isoformat()}")
-        return ci
-
-    def one(i: int):
-        date = pred.dates[i]
-        return make_eval_record(
-            pred.field(i), truth.field(i), clim.field(clim_index(date)),
-            stats, date, args.tau, with_overlap=args.overlap,
-        )
-
-    threads = _resolve_threads(args)
-    indices = range(len(pred))
-    if threads > 1 and len(pred) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, indices))
-    else:
-        records = [one(i) for i in indices]
-    records.sort(key=lambda r: (r.target_date, r.tau))
-
-    rows = [
-        {
-            "target_date": r.target_date,
-            "tau": r.tau,
-            "season": r.season,
-            "rmse": r.rmse,
-            "psnr": r.psnr,
-            "ssim": r.ssim,
-            "acc": r.acc,
-            "overlap": r.overlap,
-        }
-        for r in records
-    ]
+    clim_index = _date_indices(clim, pred.dates, "--clim has no field")
+    p, t = pred.values[:, 0], truth.values[:, 0]
+    records = evaluate_stack(p, t, clim.values[:, 0], stats, pred.dates, args.tau, with_overlap=args.overlap,
+                             threads=_resolve_threads(args), clim_index=clim_index)
+    rows = [{key: getattr(r, key) for key in _RECORD_COLUMNS} for r in records]
     if args.output:
-        header = "target_date,tau,season,rmse,psnr,ssim,acc,overlap"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["target_date"].isoformat(),
-                        str(r["tau"]),
-                        r["season"],
-                        _csv_num(r["rmse"]),
-                        _csv_num(r["psnr"]),
-                        _csv_num(r["ssim"]),
-                        _csv_num(r["acc"]),
-                        "" if r["overlap"] is None else _csv_num(r["overlap"]),
-                    ]
-                )
-            )
-        Path(args.output).write_text("\n".join(lines) + "\n")
+        _write_csv(args.output, _RECORD_COLUMNS, [row.values() for row in rows])
     result: dict = {"n_records": len(rows), "records": rows}
     if args.summary:
         summary = seasonal_summary(records)
-        # season-level overlap pools every grid cell of the season's dates
-        pools: dict[str, tuple[list, list]] = {}
-        for i, date in enumerate(pred.dates):
-            pool = pools.setdefault(season_of(date), ([], []))
-            pool[0].append(denormalize(pred.field(i), stats).values.ravel())
-            pool[1].append(denormalize(truth.field(i), stats).values.ravel())
-        for season, (pk, tk) in pools.items():
-            if season in summary:
-                summary[season]["overlap"] = kde_overlap(np.concatenate(pk), np.concatenate(tk))
+        # season-level overlap pools every grid cell of the season's dates, in kelvin
+        seasons = np.array([r.season for r in records])
+        for season, row in summary.items():
+            pool = seasons == season
+            row["overlap"] = kde_overlap(denormalized(p[pool], stats), denormalized(t[pool], stats))
         result["seasonal_summary"] = summary
-        _write_summary_csv(args.summary, summary)
+        _write_csv(args.summary, _SUMMARY_COLUMNS, [[season] + [row[k] for k in _SUMMARY_COLUMNS[1:]]
+                                                   for season, row in summary.items()])
     return result
 
 
-def _csv_num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_summary_csv(path, summary: dict) -> None:
-    lines = ["season,n,mean_rmse,std_rmse,mean_acc,overlap"]
-    for season, row in summary.items():
-        overlap = row.get("overlap", row["mean_overlap"])
-        lines.append(
-            ",".join(
-                [
-                    season,
-                    str(row["n"]),
-                    _csv_num(row["mean_rmse"]),
-                    _csv_num(row["std_rmse"]),
-                    _csv_num(row["mean_acc"]),
-                    _csv_num(overlap) if not math.isnan(overlap) else "",
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+_RECORD_COLUMNS = ("target_date", "tau", "season", "rmse", "psnr", "ssim", "acc", "overlap")
+_SUMMARY_COLUMNS = ("season", "n", "mean_rmse", "std_rmse", "mean_acc", "overlap")
 
 
 def _cmd_stratify(args) -> dict:
@@ -477,14 +422,8 @@ def _cmd_stratify(args) -> dict:
     row = lambda_bin_analysis(lam_stack.field(li), rmse_stack.field(ri), bins, season=args.season)
     labels = bins.labels
     if args.output:
-        header = "season," + ",".join(f"median_{l}" for l in labels) + ",delta," + ",".join(
-            f"n_{l}" for l in labels
-        )
-        med = ",".join("" if m is None else _csv_num(m) for m in row.medians)
-        cnt = ",".join(str(c) for c in row.counts)
-        Path(args.output).write_text(
-            header + "\n" + f"{row.season or ''},{med},{_csv_num(row.delta)},{cnt}\n"
-        )
+        header = ["season"] + [f"median_{l}" for l in labels] + ["delta"] + [f"n_{l}" for l in labels]
+        _write_csv(args.output, header, [[row.season, *row.medians, row.delta, *row.counts]])
     return {
         "season": row.season,
         "bins": list(labels),

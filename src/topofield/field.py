@@ -9,6 +9,7 @@ Normalization maps training-percentile bounds onto [0, 1] with clipping.
 from __future__ import annotations
 
 import datetime as dt
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +38,32 @@ def as_values(field_like) -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it is read-only C-contiguous float64 owning its data,
+    as :meth:`FieldStack._adopt` leaves it; else a read-only copy."""
+    if arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=np.float64, copy=True, order="C")
     out.setflags(write=False)
     return out
+
+
+# Cells per kernel call on the stack paths (at least one field per call): it
+# bounds a kernel's working arrays whatever the stack length.
+_CHUNK_CELLS = 1 << 16
+
+
+def map_chunks(fn, n: int, cells: int, threads: int | None = None) -> list:
+    """``fn`` of consecutive slices of ``range(n)``, results in slice order.
+
+    A slice holds about ``_CHUNK_CELLS`` cells at ``cells`` per item, and at
+    least one item. The slices run on a thread pool when ``threads > 1``.
+    """
+    per_chunk = max(1, _CHUNK_CELLS // max(1, cells))
+    chunks = [slice(i, min(i + per_chunk, n)) for i in range(0, n, per_chunk)]
+    if threads is not None and threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, chunks))
+    return list(map(fn, chunks))
 
 
 @dataclass(frozen=True)
@@ -122,6 +146,16 @@ class FieldStack:
     def width(self) -> int:
         return self.values.shape[3]
 
+    @classmethod
+    def _adopt(cls, dates, values: np.ndarray) -> "FieldStack":
+        """A stack over ``values`` itself: a fresh float64 array that no one else holds.
+
+        The library's stack producers hand their output over this way, so
+        the stack does not copy it a second time.
+        """
+        values.setflags(write=False)
+        return cls(dates, values)
+
     def index_of(self, date: dt.date) -> int | None:
         idx = self._date_index().get(date)
         return idx
@@ -201,17 +235,35 @@ def normalize(field: ScalarField, stats: NormStats) -> ScalarField:
     return ScalarField(np.clip(out, 0.0, 1.0))
 
 
+def denormalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Kelvin values of normalized grids, one or many: shape (..., h, w).
+
+    Every grid must lie in [0, 1] up to DENORM_SLACK; the first one that
+    does not, in C order over the leading axes, is the one reported. A NaN
+    grid does not lie in [0, 1].
+    """
+    lo = values.min(axis=(-2, -1)).ravel()
+    hi = values.max(axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(~((lo >= -DENORM_SLACK) & (hi <= 1.0 + DENORM_SLACK)))
+    if bad.size:
+        i = bad[0]
+        raise OutOfRange(f"values in [{lo[i]!r}, {hi[i]!r}] exceed [0, 1] by more than {DENORM_SLACK}")
+    return values * stats.span + stats.p1
+
+
 def denormalize(field: ScalarField, stats: NormStats) -> ScalarField:
     """Inverse of :func:`normalize` for reporting physical-unit errors."""
-    vals = field.values
-    if vals.min() < -DENORM_SLACK or vals.max() > 1.0 + DENORM_SLACK:
-        raise OutOfRange(
-            f"values in [{vals.min()!r}, {vals.max()!r}] exceed [0, 1] by more than {DENORM_SLACK}"
-        )
-    return ScalarField(vals * stats.span + stats.p1)
+    return ScalarField(denormalized(field.values, stats))
 
 
 def normalize_stack(stack: FieldStack, stats: NormStats) -> FieldStack:
     """Normalize every channel of every date in a stack."""
-    out = np.clip((stack.values - stats.p1) / stats.span, 0.0, 1.0)
-    return FieldStack(stack.dates, out)
+    out = stack.values - stats.p1
+    out /= stats.span
+    np.clip(out, 0.0, 1.0, out=out)
+    return FieldStack._adopt(stack.dates, out)
+
+
+def denormalize_stack(stack: FieldStack, stats: NormStats) -> FieldStack:
+    """Denormalize every channel of every date in a stack."""
+    return FieldStack._adopt(stack.dates, denormalized(stack.values, stats))

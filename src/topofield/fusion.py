@@ -27,8 +27,7 @@ class LambdaMap:
             raise FormatError("a lambda map needs at least the finest level")
         levels = tuple(self.levels)
         for lv in levels:
-            if lv.values.min() < 0.0 or lv.values.max() > 1.0:
-                raise FormatError("lambda values must lie in [0, 1]")
+            _check_weights(lv.values)
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -70,23 +69,40 @@ class LeadMap:
     field: ScalarField
 
 
+def _check_weights(lam: np.ndarray) -> None:
+    if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
+        raise FormatError("lambda values must lie in [0, 1]")
+
+
+def blend(inter: np.ndarray, intra: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """lam*inter + (1 - lam)*intra over one grid or a stack of grids (..., h, w).
+
+    The weights must lie in [0, 1]; they are checked before the shapes.
+    """
+    _check_weights(lam)
+    grid = inter.shape[-2:]
+    if intra.shape[-2:] != grid or lam.shape[-2:] != grid:
+        raise ShapeMismatch(f"shapes {grid}, {intra.shape[-2:]}, {lam.shape[-2:]} differ")
+    out = lam * inter
+    out += (1.0 - lam) * intra
+    return out
+
+
+def add_residual(fused: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """fused + delta over one grid or a stack of grids (..., h, w)."""
+    if fused.shape[-2:] != delta.shape[-2:]:
+        raise ShapeMismatch(f"shapes {fused.shape[-2:]} and {delta.shape[-2:]} differ")
+    return fused + delta
+
+
 def fuse(inter: ScalarField, intra: ScalarField, lam: LambdaMap) -> ScalarField:
     """Pointwise convex blend: lam*inter + (1 - lam)*intra."""
-    a = as_values(inter)
-    b = as_values(intra)
-    l1 = lam.level1.values
-    if a.shape != b.shape or a.shape != l1.shape:
-        raise ShapeMismatch(f"shapes {a.shape}, {b.shape}, {l1.shape} differ")
-    return ScalarField(l1 * a + (1.0 - l1) * b)
+    return ScalarField(blend(as_values(inter), as_values(intra), lam.level1.values))
 
 
 def apply_residual(fused: ScalarField, delta: ScalarField) -> ScalarField:
     """Additive local correction; clamping is a reporting-time option."""
-    a = as_values(fused)
-    d = as_values(delta)
-    if a.shape != d.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {d.shape} differ")
-    return ScalarField(a + d)
+    return ScalarField(add_residual(as_values(fused), as_values(delta)))
 
 
 def tv(lam_level1) -> float:

@@ -77,5 +77,4 @@ def stack_from_bytes(raw: bytes) -> FieldStack:
     days = np.frombuffer(raw, dtype="<i8", count=n, offset=_HEADER.size)
     dates = tuple(days_to_date(d) for d in days)
     values = np.frombuffer(raw, dtype="<f4", count=values_count, offset=_HEADER.size + dates_bytes)
-    values = values.astype(np.float64).reshape(n, c, h, w)
-    return FieldStack(dates, values)
+    return FieldStack._adopt(dates, values.reshape(n, c, h, w).astype(np.float64))

@@ -10,16 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import EmptyScores, FormatError, GridTooSmall, ShapeMismatch
-from .field import as_values
+from .errors import EmptyScores, FormatError
+from .metrics import _pair, ssim
 from .persistence import bottleneck_distance, sublevel_persistence
-
-SSIM_WINDOW = 11
-SSIM_SIGMA = 1.5
-SSIM_C1 = (0.01) ** 2  # (K1 * L)^2 with L = 1
-SSIM_C2 = (0.03) ** 2
 
 
 @dataclass(frozen=True)
@@ -53,50 +47,9 @@ class GateSchedule:
         return step >= self.warmup_steps and step % self.every_n == 0
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    av, bv = as_values(a), as_values(b)
-    if av.shape != bv.shape:
-        raise ShapeMismatch(f"shapes {av.shape} and {bv.shape} differ")
-    return av, bv
-
-
 def mae(a, b) -> float:
     av, bv = _pair(a, b)
     return float(np.abs(av - bv).mean())
-
-
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = size // 2
-    x = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(x**2) / (2.0 * sigma**2))
-    return g / g.sum()
-
-
-_SSIM_KERNEL = np.outer(_gaussian_window(SSIM_WINDOW, SSIM_SIGMA), _gaussian_window(SSIM_WINDOW, SSIM_SIGMA))
-
-
-def _local_mean(x: np.ndarray) -> np.ndarray:
-    return ndimage.correlate(x, _SSIM_KERNEL, mode="reflect")
-
-
-def ssim(a, b) -> float:
-    """Mean local SSIM, 11x11 Gaussian window (sigma 1.5), reflect-padded.
-
-    Stabilizers follow the standard formulation for a unit dynamic range:
-    C1 = 0.01^2, C2 = 0.03^2.
-    """
-    av, bv = _pair(a, b)
-    h, w = av.shape
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
-        raise GridTooSmall(f"SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got {h}x{w}")
-    mu_a = _local_mean(av)
-    mu_b = _local_mean(bv)
-    var_a = _local_mean(av * av) - mu_a * mu_a
-    var_b = _local_mean(bv * bv) - mu_b * mu_b
-    cov = _local_mean(av * bv) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float((num / den).mean())
 
 
 def content_loss(pred, truth) -> float:

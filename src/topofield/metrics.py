@@ -1,8 +1,10 @@
 """Forecast-verification metrics and seasonal / error-bin stratification.
 
 RMSE and the anomaly correlation are computed on physical (kelvin) fields;
-PSNR and SSIM operate in normalized [0, 1] space. Distribution agreement
-uses Gaussian kernel density estimates with a Silverman-style bandwidth.
+PSNR and SSIM operate in normalized [0, 1] space. Each metric is one kernel
+over an ``(n, h, w)`` stack that gives one value per date; the per-field
+functions are its n = 1 views. Distribution agreement uses Gaussian kernel
+density estimates with a Silverman-style bandwidth.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from .errors import (
     EmptyBin,
     EmptySeason,
     FormatError,
+    GridTooSmall,
     IdenticalFields,
     ShapeMismatch,
     ZeroVariance,
 )
-from .field import as_values
+from .field import as_values, denormalized, map_chunks
 
 SEASONS = ("DJF", "MAM", "JJA", "SON")
 _SEASON_OF_MONTH = {
@@ -34,6 +37,14 @@ _SEASON_OF_MONTH = {
 
 KDE_GRID_POINTS = 2048
 KDE_MARGIN_BANDWIDTHS = 3.0
+# Cells of one (grid points x samples) block of the exact KDE: 512 KB per
+# temporary, which stays in cache; 2**20-cell blocks ran 1.5-3x slower.
+_KDE_BLOCK_CELLS = 1 << 16
+
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = (0.01) ** 2  # (K1 * L)^2 with L = 1
+SSIM_C2 = (0.03) ** 2
 
 
 def season_of(date: dt.date) -> str:
@@ -104,32 +115,38 @@ class StratRow:
 
 def rmse(pred, truth) -> float:
     p, t = _pair(pred, truth)
-    return float(np.sqrt(((p - t) ** 2).mean()))
+    return float(np.sqrt(_mse(p[None], t[None]))[0])
 
 
 def psnr(pred, truth) -> float:
     """10*log10(1/MSE) for unit dynamic range; identical fields are an error."""
     p, t = _pair(pred, truth)
-    mse = float(((p - t) ** 2).mean())
-    if mse == 0.0:
+    mse = _mse(p[None], t[None])
+    if mse[0] == 0.0:
         raise IdenticalFields("PSNR is infinite for identical fields")
-    return float(10.0 * np.log10(1.0 / mse))
+    return float(_psnr(mse)[0])
 
 
 def acc(pred, truth, clim) -> float:
     """Spatial anomaly correlation, pooling all grid cells."""
     p, t = _pair(pred, truth)
     c = as_values(clim)
-    if c.shape != p.shape:
-        raise ShapeMismatch(f"climatology shape {c.shape} differs from {p.shape}")
-    pa = (p - c).ravel()
-    ta = (t - c).ravel()
-    pa = pa - pa.mean()
-    ta = ta - ta.mean()
-    denom = np.sqrt((pa**2).sum() * (ta**2).sum())
-    if denom == 0.0:
+    _check_clim(c[None], p[None])
+    r = float(_acc(p[None], t[None], c[None])[0])
+    if math.isnan(r):
         raise ZeroVariance("an anomaly field is constant")
-    return float(np.clip((pa * ta).sum() / denom, -1.0, 1.0))
+    return r
+
+
+def ssim(a, b) -> float:
+    """Mean local SSIM, 11x11 Gaussian window (sigma 1.5), reflect-padded.
+
+    Stabilizers follow the standard formulation for a unit dynamic range:
+    C1 = 0.01^2, C2 = 0.03^2.
+    """
+    av, bv = _pair(a, b)
+    _check_ssim_grid(av[None])
+    return float(_ssim(av[None], bv[None])[0])
 
 
 def _pair(a, b):
@@ -137,6 +154,146 @@ def _pair(a, b):
     if av.shape != bv.shape:
         raise ShapeMismatch(f"shapes {av.shape} and {bv.shape} differ")
     return av, bv
+
+
+# ---------------------------------------------------------------------------
+# Per-date kernels over (n, h, w) stacks
+
+
+def _per_date(x: np.ndarray) -> np.ndarray:
+    return x.reshape(len(x), -1)
+
+
+def _mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _per_date((a - b) ** 2).mean(axis=1)
+
+
+def _psnr(mse: np.ndarray) -> np.ndarray:
+    """10*log10(1/MSE); infinite where the fields are identical."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(1.0 / mse)
+
+
+def _acc(p: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Anomaly correlation per date; NaN where an anomaly field is constant."""
+    pa = _per_date(p - c)
+    ta = _per_date(t - c)
+    pa = pa - pa.mean(axis=1, keepdims=True)
+    ta = ta - ta.mean(axis=1, keepdims=True)
+    denom = np.sqrt((pa**2).sum(axis=1) * (ta**2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip((pa * ta).sum(axis=1) / denom, -1.0, 1.0)
+    return np.where(denom == 0.0, np.nan, r)
+
+
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """The normalized 2D Gaussian window as a (1, size, size) kernel: one date at a time."""
+    half = size // 2
+    x = np.arange(size, dtype=np.float64) - half
+    g = np.exp(-(x**2) / (2.0 * sigma**2))
+    g = g / g.sum()
+    return np.outer(g, g)[None]
+
+
+_SSIM_KERNEL = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+
+
+def _local_mean(x: np.ndarray) -> np.ndarray:
+    from scipy import ndimage  # imported on first use: most commands never filter
+
+    return ndimage.correlate(x, _SSIM_KERNEL, mode="reflect")
+
+
+def _ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    mu_a = _local_mean(a)
+    mu_b = _local_mean(b)
+    var_a = _local_mean(a * a) - mu_a * mu_a
+    var_b = _local_mean(b * b) - mu_b * mu_b
+    cov = _local_mean(a * b) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return _per_date(num / den).mean(axis=1)
+
+
+def _check_ssim_grid(a: np.ndarray) -> None:
+    h, w = a.shape[1:]
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise GridTooSmall(f"SSIM needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got {h}x{w}")
+
+
+def _check_clim(c: np.ndarray, p: np.ndarray) -> None:
+    if c.shape[1:] != p.shape[1:]:
+        raise ShapeMismatch(f"climatology shape {c.shape[1:]} differs from {p.shape[1:]}")
+
+
+def _check_stacks(pred, truth, clim, dates, clim_index) -> np.ndarray:
+    """The shape checks of :func:`evaluate_stack`; returns each date's climatology index."""
+    if pred.ndim != 3 or truth.ndim != 3 or clim.ndim != 3:
+        raise FormatError(f"expected (n, h, w) stacks, got {pred.shape}, {truth.shape}, {clim.shape}")
+    if pred.shape[1:] != truth.shape[1:]:
+        raise ShapeMismatch(f"shapes {pred.shape[1:]} and {truth.shape[1:]} differ")
+    _check_ssim_grid(pred)
+    _check_clim(clim, pred)
+    n = len(pred)
+    if len(truth) != n or len(dates) != n:
+        raise ShapeMismatch(f"{n} predictions, {len(truth)} truth fields and {len(dates)} dates")
+    if clim_index is None:
+        if len(clim) != n:
+            raise ShapeMismatch(f"{len(clim)} climatology fields for {n} dates")
+        return np.arange(n)
+    ci = np.asarray(clim_index, dtype=np.intp)
+    if ci.shape != (n,) or (n and (ci.min() < 0 or ci.max() >= len(clim))):
+        raise ShapeMismatch(f"clim_index must hold {n} indices into {len(clim)} climatology fields")
+    return ci
+
+
+def evaluate_stack(pred: np.ndarray, truth: np.ndarray, clim: np.ndarray, stats, dates, tau: int,
+                   with_overlap: bool = False, threads: int | None = None,
+                   clim_index=None) -> list[EvalRecord]:
+    """Evaluate normalized ``(n, h, w)`` predictions against truth and climatology.
+
+    Date ``i`` is scored against ``clim[clim_index[i]]`` (default
+    ``clim[i]``), so one climatology map serves every date uncopied. RMSE
+    and ACC are computed in kelvin (``stats``); PSNR and SSIM stay in
+    normalized space, and an identical prediction reports infinite PSNR.
+    The dates run in chunks (:func:`.field.map_chunks`), on a thread pool
+    when ``threads > 1``; each chunk is denormalized by itself, so the
+    working memory does not grow with n.
+
+    Errors, first to last: stacks whose shapes or lengths disagree, or
+    grids below the SSIM window; the earliest date with a field outside
+    [0, 1] (pred, truth, clim on one date); the earliest date whose KDE
+    sample is degenerate or whose anomaly is constant (the KDE first on
+    one date).
+    """
+    ci = _check_stacks(pred, truth, clim, dates, clim_index)
+    n, h, w = pred.shape
+
+    def metrics(s: slice) -> np.ndarray:
+        p, t = pred[s], truth[s]
+        pk, tk, ck = denormalized(np.stack([p, t, clim[ci[s]]], axis=1), stats).swapaxes(0, 1)
+        return np.stack([_psnr(_mse(p, t)), np.sqrt(_mse(pk, tk)), _ssim(p, t), _acc(pk, tk, ck)])
+
+    parts = map_chunks(metrics, n, h * w, threads)
+    psnr_n, rmse_k, ssim_n, acc_k = np.concatenate([np.empty((4, 0))] + parts, axis=1)
+    constant = np.flatnonzero(np.isnan(acc_k))
+    stop = constant[0] + 1 if constant.size else n
+    overlaps = [None] * n
+    if with_overlap:
+        def overlap(s: slice) -> list[float]:
+            return [kde_overlap(denormalized(pred[i], stats), denormalized(truth[i], stats))
+                    for i in range(s.start, s.stop)]
+
+        # each of a date's two KDEs evaluates KDE_GRID_POINTS x h*w cells
+        parts = map_chunks(overlap, stop, 2 * KDE_GRID_POINTS * h * w, threads)
+        overlaps[:stop] = [x for part in parts for x in part]
+    if constant.size:
+        raise ZeroVariance("an anomaly field is constant")
+    return [
+        EvalRecord(date, tau, float(rmse_k[i]), float(psnr_n[i]), float(ssim_n[i]), float(acc_k[i]),
+                   season_of(date), overlaps[i])
+        for i, date in enumerate(dates)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +316,17 @@ def _bandwidth(samples: np.ndarray) -> float:
 
 
 def _kde(samples: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
-    z = (grid[:, None] - samples[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
+    """Exact Gaussian KDE on ``grid``, in blocks of grid points under a fixed cell budget.
+
+    A block holds at least one grid point. Each point's sum runs over all
+    samples in one row, so the blocking does not change any density.
+    """
+    rows = max(1, _KDE_BLOCK_CELLS // samples.size)
+    sums = []
+    for i in range(0, grid.size, rows):
+        z = (grid[i : i + rows, None] - samples[None, :]) / h
+        sums.append(np.exp(-0.5 * z * z).sum(axis=1))
+    return np.concatenate(sums) / (samples.size * h * math.sqrt(2.0 * math.pi))
 
 
 def _as_samples(x) -> np.ndarray:
@@ -172,11 +338,11 @@ def _as_samples(x) -> np.ndarray:
     return arr
 
 
-def kde_overlap(pred_samples, truth_samples) -> float:
-    """Integral of min(p, q) between the two Gaussian KDEs.
+def _kde_pair(pred_samples, truth_samples, side: str | None = None):
+    """Both KDEs on KDE_GRID_POINTS points: the grid and the two densities.
 
-    Trapezoidal quadrature on 2048 points spanning the pooled range plus a
-    three-bandwidth margin.
+    The grid spans the pooled range plus a margin of three of the larger
+    bandwidth, or on one ``side`` of the truth's 5th/95th percentile only.
     """
     p = _as_samples(pred_samples)
     q = _as_samples(truth_samples)
@@ -184,9 +350,21 @@ def kde_overlap(pred_samples, truth_samples) -> float:
     h = max(hp, hq)
     lo = min(p.min(), q.min()) - KDE_MARGIN_BANDWIDTHS * h
     hi = max(p.max(), q.max()) + KDE_MARGIN_BANDWIDTHS * h
+    if side == "below_p5":
+        hi = float(np.percentile(q, 5.0))
+    elif side == "above_p95":
+        lo = float(np.percentile(q, 95.0))
     grid = np.linspace(lo, hi, KDE_GRID_POINTS)
-    dens_p = _kde(p, hp, grid)
-    dens_q = _kde(q, hq, grid)
+    return grid, _kde(p, hp, grid), _kde(q, hq, grid)
+
+
+def kde_overlap(pred_samples, truth_samples) -> float:
+    """Integral of min(p, q) between the two Gaussian KDEs.
+
+    Trapezoidal quadrature on 2048 points spanning the pooled range plus a
+    three-bandwidth margin.
+    """
+    grid, dens_p, dens_q = _kde_pair(pred_samples, truth_samples)
     return float(np.trapezoid(np.minimum(dens_p, dens_q), grid))
 
 
@@ -199,20 +377,7 @@ def tail_overlap(pred_samples, truth_samples, side: str) -> float:
     """
     if side not in ("below_p5", "above_p95"):
         raise FormatError(f"side must be 'below_p5' or 'above_p95', got {side!r}")
-    p = _as_samples(pred_samples)
-    q = _as_samples(truth_samples)
-    hp, hq = _bandwidth(p), _bandwidth(q)
-    h = max(hp, hq)
-    lo = min(p.min(), q.min()) - KDE_MARGIN_BANDWIDTHS * h
-    hi = max(p.max(), q.max()) + KDE_MARGIN_BANDWIDTHS * h
-    if side == "below_p5":
-        bound = float(np.percentile(q, 5.0))
-        grid = np.linspace(lo, bound, KDE_GRID_POINTS)
-    else:
-        bound = float(np.percentile(q, 95.0))
-        grid = np.linspace(bound, hi, KDE_GRID_POINTS)
-    dens_p = _kde(p, hp, grid)
-    dens_q = _kde(q, hq, grid)
+    grid, dens_p, dens_q = _kde_pair(pred_samples, truth_samples, side)
     tail_mass = float(np.trapezoid(dens_q, grid))
     if tail_mass == 0.0:
         raise DegenerateSample("truth tail carries no density mass")
@@ -304,30 +469,6 @@ def make_eval_record(
     tau: int,
     with_overlap: bool = False,
 ) -> EvalRecord:
-    """Evaluate one normalized prediction against truth and climatology.
-
-    RMSE and ACC are computed after mapping all three fields back to
-    kelvin with ``stats``; PSNR and SSIM stay in normalized space. An
-    identical prediction reports infinite PSNR.
-    """
-    from .field import ScalarField, denormalize
-    from .losses import ssim as ssim_fn
-
-    pred_k = denormalize(ScalarField(as_values(pred_norm)), stats).values
-    truth_k = denormalize(ScalarField(as_values(truth_norm)), stats).values
-    clim_k = denormalize(ScalarField(as_values(clim_norm)), stats).values
-    try:
-        psnr_val = psnr(pred_norm, truth_norm)
-    except IdenticalFields:
-        psnr_val = math.inf
-    overlap = kde_overlap(pred_k.ravel(), truth_k.ravel()) if with_overlap else None
-    return EvalRecord(
-        target_date=target_date,
-        tau=tau,
-        rmse=rmse(pred_k, truth_k),
-        psnr=psnr_val,
-        ssim=ssim_fn(pred_norm, truth_norm),
-        acc=acc(pred_k, truth_k, clim_k),
-        season=season_of(target_date),
-        overlap=overlap,
-    )
+    """Evaluate one normalized prediction: the one-date view of :func:`evaluate_stack`."""
+    fields = [as_values(x)[None] for x in (pred_norm, truth_norm, clim_norm)]
+    return evaluate_stack(*fields, stats, (target_date,), tau, with_overlap)[0]

@@ -11,13 +11,12 @@ views over it, and each date's channels depend on that date only.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, GridTooSmall, OutOfRange
-from .field import FieldStack, ScalarField, as_values
+from .field import FieldStack, ScalarField, as_values, map_chunks
 from .order import vertex_ranks
 
 # Stored T-channel codes, scaled into [0, 1] like every other channel.
@@ -28,10 +27,6 @@ T_SADDLE = 1.0
 
 # Ring walk order: N, NE, E, SE, S, SW, W, NW as (drow, dcol).
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-
-# Cells per kernel call on the stack path (at least one field per call): it
-# bounds the kernel's working arrays whatever the stack length.
-_CHUNK_CELLS = 1 << 16
 
 
 class CriticalKind(enum.Enum):
@@ -174,8 +169,8 @@ def build_structural_channels(field: ScalarField) -> MultiChannelField:
 def build_structural_stack(stack: FieldStack, threads: int | None = None) -> FieldStack:
     """Expand a 1-channel normalized stack into the 4-channel [SF, T, V, C] stack.
 
-    The stack is checked once, then mapped through the kernel in chunks of
-    about ``_CHUNK_CELLS`` cells, on a thread pool when ``threads > 1``.
+    The stack is checked once, then mapped through the kernel in chunks
+    (:func:`.field.map_chunks`), on a thread pool when ``threads > 1``.
     """
     if stack.channels != 1:
         raise FormatError(f"expected a 1-channel stack, got {stack.channels}")
@@ -183,15 +178,9 @@ def build_structural_stack(stack: FieldStack, threads: int | None = None) -> Fie
     _check_normalized(values)
     n, h, w = values.shape
     out = np.empty((n, 4, h, w))
-    per_chunk = max(1, _CHUNK_CELLS // max(1, h * w))
-    chunks = [slice(i, i + per_chunk) for i in range(0, n, per_chunk)]
 
     def fill(chunk: slice) -> None:
         out[chunk] = _channels(values[chunk])
 
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        list(map(fill, chunks))
-    return FieldStack(stack.dates, out)
+    map_chunks(fill, n, h * w, threads)
+    return FieldStack._adopt(stack.dates, out)

@@ -13,7 +13,6 @@ import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FormatError
 from .field import FieldStack, ScalarField, as_values
@@ -97,6 +96,8 @@ def _calendar_doy(day: dt.date) -> int:
 
 def _smooth_field(key: tuple, shape: tuple[int, int]) -> np.ndarray:
     """Standardized smooth random field keyed by (seed, stream, index...)."""
+    from scipy import ndimage  # imported on first use: most commands never filter
+
     rng = np.random.default_rng(key)
     white = rng.standard_normal(shape)
     smooth = ndimage.gaussian_filter(white, sigma=max(1.0, min(shape) / 6.0), mode="reflect")
@@ -140,7 +141,7 @@ def generate_climate(spec: ClimateSpec) -> FieldStack:
         field = seasonal + spec.interannual_amp * year_fields[day.year] + spec.weather_amp * weather
         dates.append(day)
         values[k, 0] = field
-    return FieldStack(tuple(dates), values)
+    return FieldStack._adopt(tuple(dates), values)
 
 
 def oracle_lambda(inter_pred, intra_pred, truth) -> LambdaMap:

@@ -6,8 +6,21 @@ import sys
 import numpy as np
 import pytest
 
-from topofield import FieldStack, bottleneck_distance, read_diagram_csv, sublevel_persistence
+from topofield import (
+    FieldStack,
+    LambdaMap,
+    NormStats,
+    apply_residual,
+    bottleneck_distance,
+    denormalize,
+    fuse,
+    make_eval_record,
+    read_diagram_csv,
+    stack_to_bytes,
+    sublevel_persistence,
+)
 from topofield.cli import run
+from topofield.errors import OutOfRange
 from topofield.gfs import read_stack, write_stack
 
 
@@ -463,3 +476,121 @@ def test_directory_path_is_io_error(tmp_path, raw_stack, case, capsys):
 def test_missing_input_keeps_missing_file_code(tmp_path, capsys):
     assert run(["stats", "--input", str(tmp_path / "nope.gfs"), "--train-years", "2015"]) == 1
     assert "error [missing_file]" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Stack commands give the per-field results
+
+
+def test_normalize_invert_matches_per_field_denormalize(tmp_path, raw_stack, stats_file, capsys):
+    norm, back = tmp_path / "norm.gfs", tmp_path / "back.gfs"
+    assert run(["normalize", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(norm)]) == 0
+    stats = NormStats(**json.loads(stats_file.read_text()))
+    stack = read_stack(norm)
+    want = np.stack([denormalize(stack.field(i), stats).values for i in range(len(stack))])[:, None]
+    assert run(["normalize", "--input", str(norm), "--stats", str(stats_file), "--output", str(back), "--invert"]) == 0
+    assert back.read_bytes() == stack_to_bytes(FieldStack(stack.dates, want))
+    bad = stack.values.copy()
+    bad[5, 0, 2, 2] = 1.5
+    bad[6, 0, 1, 1] = -1.0
+    write_stack(FieldStack(stack.dates, bad), norm)
+    capsys.readouterr()
+    assert run(["normalize", "--input", str(norm), "--stats", str(stats_file), "--output", str(back), "--invert"]) == 1
+    with pytest.raises(OutOfRange) as first_bad:
+        denormalize(read_stack(norm).field(5), stats)
+    assert capsys.readouterr().err == f"error [out_of_range]: {first_bad.value}\n"
+
+
+def per_field_fuse(inter, intra, lam, residual, clamp):
+    out = []
+    for i, date in enumerate(inter.dates):
+        li = lam.index_of(date) if len(lam) > 1 else 0
+        fused = apply_residual(fuse(inter.field(i), intra.field(i), LambdaMap.of(lam.field(li))),
+                               residual.field(residual.index_of(date)))
+        out.append(np.clip(fused.values, 0.0, 1.0) if clamp else fused.values)
+    return stack_to_bytes(FieldStack(inter.dates, np.stack(out)[:, None]))
+
+
+@pytest.mark.parametrize("one_map", [False, True])
+def test_fuse_matches_per_field_fusion(tmp_path, one_map):
+    paths = [make_norm_stack(tmp_path, f"{name}.gfs", n=5, seed=30 + k)
+             for k, name in enumerate(("inter", "intra", "lam", "res"))]
+    if one_map:
+        write_stack(FieldStack(read_stack(paths[2]).dates[3:4], read_stack(paths[2]).values[3:4]), paths[2])
+    inter, intra, lam, res = (read_stack(p) for p in paths)
+    out = tmp_path / "fused.gfs"
+    for clamp in (False, True):
+        argv = ["fuse", "--inter", str(paths[0]), "--intra", str(paths[1]), "--lambda", str(paths[2]),
+                "--residual", str(paths[3]), "--output", str(out)] + ["--clamp"] * clamp
+        assert run(argv) == 0
+        assert out.read_bytes() == per_field_fuse(inter, intra, lam, res, clamp)
+
+
+@pytest.mark.parametrize("flag,phrase", [("--lambda", "--lambda has no map"), ("--residual", "--residual has no field")])
+def test_fuse_names_the_first_missing_date(tmp_path, flag, phrase, capsys):
+    inter = make_norm_stack(tmp_path, "inter.gfs", n=5, seed=40)
+    intra = make_norm_stack(tmp_path, "intra.gfs", n=5, seed=41)
+    full = make_norm_stack(tmp_path, "full.gfs", n=5, seed=42)
+    part = tmp_path / "part.gfs"
+    stack = read_stack(full)
+    write_stack(FieldStack(stack.dates[:1] + stack.dates[3:], stack.values[[0, 3, 4]]), part)
+    maps = {"--lambda": str(full), "--residual": str(full), flag: str(part)}
+    argv = ["fuse", "--inter", str(inter), "--intra", str(intra), "--lambda", maps["--lambda"],
+            "--residual", maps["--residual"], "--output", str(tmp_path / "out.gfs")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error [format_error]: {phrase} for {stack.dates[1].isoformat()}\n"
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5])
+def test_fuse_rejects_lambda_outside_unit_interval(tmp_path, bad, capsys):
+    inter = make_norm_stack(tmp_path, "inter.gfs", n=5, seed=45)
+    intra = make_norm_stack(tmp_path, "intra.gfs", n=5, seed=46)
+    lam = read_stack(make_norm_stack(tmp_path, "lam.gfs", n=5, seed=47))
+    values = lam.values.copy()
+    values[2, 0, 1, 1] = bad
+    write_stack(FieldStack(lam.dates, values), tmp_path / "lam.gfs")
+    write_stack(FieldStack(lam.dates[2:3], values[2:3]), tmp_path / "lam1.gfs")
+    for lam_path in ("lam.gfs", "lam1.gfs"):
+        argv = ["fuse", "--inter", str(inter), "--intra", str(intra), "--lambda", str(tmp_path / lam_path),
+                "--output", str(tmp_path / "out.gfs")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error [format_error]: lambda values must lie in [0, 1]\n"
+    # a map for a date that is not fused is not read
+    extra = lam.dates + (lam.dates[-1] + dt.timedelta(days=1),)
+    write_stack(FieldStack(extra, np.concatenate([lam.values, np.full(lam.values[:1].shape, bad)])),
+                tmp_path / "lam.gfs")
+    argv[6] = str(tmp_path / "lam.gfs")
+    assert run(argv) == 0
+
+
+def test_evaluate_is_thread_count_independent_and_matches_records(tmp_path, capsys):
+    rng = np.random.default_rng(44)
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=9 * k) for k in range(40))
+    truth = rng.uniform(0.3, 0.7, size=(40, 1, 12, 13))
+    pred = np.clip(truth + rng.normal(0, 0.02, truth.shape), 0, 1)
+    clim = np.clip(truth[:1] + rng.normal(0, 0.05, truth[:1].shape), 0, 1)  # one map for every date
+    for name, vals in (("truth.gfs", truth), ("pred.gfs", pred)):
+        write_stack(FieldStack(dates, vals), tmp_path / name)
+    write_stack(FieldStack(dates[:1], clim), tmp_path / "clim.gfs")
+    (tmp_path / "stats.json").write_text(json.dumps({"p1": 260.0, "p99": 300.0}))
+    outputs = []
+    for threads in ("1", "2"):
+        argv = ["evaluate", "--pred", str(tmp_path / "pred.gfs"), "--truth", str(tmp_path / "truth.gfs"),
+                "--clim", str(tmp_path / "clim.gfs"), "--stats", str(tmp_path / "stats.json"), "--tau", "30",
+                "--overlap", "--output", str(tmp_path / "records.csv"), "--summary", str(tmp_path / "summary.csv"),
+                "--json", "--threads", threads]
+        assert run(argv) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / "records.csv").read_bytes(),
+                        (tmp_path / "summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    p, t = read_stack(tmp_path / "pred.gfs"), read_stack(tmp_path / "truth.gfs")
+    c = read_stack(tmp_path / "clim.gfs").field(0)
+    stats = NormStats(260.0, 300.0)
+    rows = json.loads(outputs[0][0])["records"]
+    for i in (0, 17, 39):
+        rec = make_eval_record(p.field(i), t.field(i), c, stats, dates[i], 30, with_overlap=True)
+        assert rows[i] == {"target_date": dates[i].isoformat(), "tau": 30, "season": rec.season, "rmse": rec.rmse,
+                           "psnr": rec.psnr, "ssim": rec.ssim, "acc": rec.acc, "overlap": rec.overlap}
+    lines = outputs[0][1].decode().splitlines()
+    assert lines[18] == f"{dates[17].isoformat()},30,{rows[17]['season']}," + ",".join(
+        format(rows[17][k], ".17g") for k in ("rmse", "psnr", "ssim", "acc", "overlap"))

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from topofield import (
     SplitSpec,
     compute_norm_stats,
     denormalize,
+    denormalize_stack,
     normalize,
+    normalize_stack,
+    stack_from_bytes,
+    stack_to_bytes,
 )
 from topofield.errors import DegenerateStats, EmptyTrainingSet, FormatError, OutOfRange
 
@@ -54,6 +59,61 @@ class TestFieldStack:
     def test_channels_must_be_1_or_4(self):
         with pytest.raises(FormatError):
             FieldStack((dt.date(2020, 1, 1),), np.zeros((1, 2, 3, 3)))
+
+    def test_adopts_a_read_only_owned_array(self):
+        arr = np.random.default_rng(0).uniform(size=(2, 1, 3, 4))
+        arr.setflags(write=False)
+        stack = FieldStack((dt.date(2020, 1, 1), dt.date(2020, 1, 2)), arr)
+        assert stack.values is arr
+
+    def test_copies_a_writable_array_or_a_view(self):
+        arr = np.zeros((2, 1, 3, 4))
+        stack = FieldStack((dt.date(2020, 1, 1), dt.date(2020, 1, 2)), arr)
+        arr[0, 0, 0, 0] = 1.0
+        assert stack.values is not arr and stack.values[0, 0, 0, 0] == 0.0
+        assert not stack.values.flags.writeable
+        view = stack.values[:1]
+        assert FieldStack((dt.date(2020, 1, 1),), view).values is not view
+
+    def test_adopt_freezes_the_array_it_is_handed(self):
+        arr = np.zeros((1, 1, 3, 4))
+        stack = FieldStack._adopt((dt.date(2020, 1, 1),), arr)
+        assert stack.values is arr and not arr.flags.writeable
+
+    def test_normalize_stack_makes_one_array_and_matches_each_field(self):
+        rng = np.random.default_rng(2)
+        stack = FieldStack(tuple(dt.date(2020, 1, d) for d in range(1, 21)), rng.normal(280, 10, (20, 1, 60, 70)))
+        stats = NormStats(265.0, 295.0)
+        tracemalloc.start()
+        try:
+            got = normalize_stack(stack, stats).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes, (peak, got.nbytes)
+        for i in range(20):
+            assert got[i, 0].tobytes() == normalize(stack.field(i), stats).values.tobytes()
+
+    def test_reading_a_stack_makes_one_float64_array(self):
+        stack = stack_of([(dt.date(2020, 1, d), np.full((60, 70), float(d))) for d in range(1, 21)])
+        raw = stack_to_bytes(stack)
+        tracemalloc.start()
+        try:
+            values = stack_from_bytes(raw).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == stack.values.tobytes()
+        assert peak < 1.5 * values.nbytes, (peak, values.nbytes)
+
+    def test_denormalize_stack_matches_each_field(self):
+        rng = np.random.default_rng(1)
+        stack = FieldStack((dt.date(2020, 1, 1), dt.date(2020, 1, 2)), rng.uniform(size=(2, 4, 3, 5)))
+        stats = NormStats(250.0, 310.0)
+        got = denormalize_stack(stack, stats).values
+        for i in range(2):
+            for c in range(4):
+                assert got[i, c].tobytes() == denormalize(stack.field(i, c), stats).values.tobytes()
 
 
 class TestComputeNormStats:

@@ -1,11 +1,14 @@
-"""The union-find persistence kernels, the bottleneck candidate search and
-the structural-channel kernel, at paper scale and on tie-heavy inputs,
-against the reduction route, the per-field views and the independent
-oracles."""
+"""The union-find persistence kernels, the bottleneck candidate search, the
+structural-channel kernel and the verification kernel, at paper scale and on
+tie-heavy inputs, against the reduction route, the per-field views and the
+independent oracles."""
 
 import datetime as dt
 import importlib
+import math
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,17 +18,26 @@ from topofield import (
     CriticalKind,
     CriticalPoint,
     FieldStack,
+    NormStats,
     PersistenceDiagram,
+    ScalarField,
     bottleneck_distance,
     build_structural_channels,
     build_structural_stack,
     classify_critical_points,
+    denormalize,
+    evaluate_stack,
     extract_saddle_contours,
+    kde_overlap,
+    make_eval_record,
     sublevel_persistence,
     sublevel_persistence_reduction,
+    tail_overlap,
 )
-from topofield.errors import OutOfRange
-from topofield.structural import _CHUNK_CELLS, T_MAXIMUM, T_MINIMUM, T_SADDLE
+from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
+from topofield.metrics import _kde
+from topofield.field import _CHUNK_CELLS
+from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
 
 from oracles import bruteforce_bottleneck, exhaustive_bottleneck, naive_sublevel_pairs, straddle_mask
@@ -178,6 +190,203 @@ def test_one_out_of_range_field_among_many_is_rejected():
     for threads in (1, 2):
         with pytest.raises(OutOfRange):
             build_structural_stack(date_stack(fields), threads=threads)
+
+
+def test_structural_stack_holds_one_copy_of_its_output():
+    fields = [small_rough_field((101, 237))] * 24
+    stack = date_stack(fields)
+    tracemalloc.start()
+    try:
+        out = build_structural_stack(stack, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.values.flags.writeable
+    assert peak < 1.5 * out.values.nbytes, (peak, out.values.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# Verification: the stack kernel against its one-date view
+
+
+STATS = NormStats(250.0, 310.0)
+
+
+def eval_stacks(rng, n, shape=(12, 13)):
+    truth = rng.uniform(0.2, 0.8, size=(n, *shape))
+    pred = np.clip(truth + rng.normal(0, 0.03, truth.shape), 0, 1)
+    clim = np.clip(truth + rng.normal(0, 0.1, truth.shape), 0, 1)
+    dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=3 * k) for k in range(n))
+    return pred, truth, clim, dates
+
+
+def per_date(pred, truth, clim, dates, overlap):
+    return [make_eval_record(p, t, c, STATS, d, 45, with_overlap=overlap)
+            for p, t, c, d in zip(pred, truth, clim, dates)]
+
+
+def field_by_field(p, t, c):
+    """(rmse, psnr, ssim, acc) of one date by the per-field arithmetic the stack kernel replaced."""
+    from scipy import ndimage
+
+    pk, tk, ck = (x * STATS.span + STATS.p1 for x in (p, t, c))
+    mse = float(((p - t) ** 2).mean())
+    psnr = math.inf if mse == 0.0 else float(10.0 * np.log10(1.0 / mse))
+    pa, ta = (pk - ck).ravel(), (tk - ck).ravel()
+    pa, ta = pa - pa.mean(), ta - ta.mean()
+    acc = float(np.clip((pa * ta).sum() / np.sqrt((pa**2).sum() * (ta**2).sum()), -1.0, 1.0))
+    g = np.exp(-((np.arange(11.0) - 5) ** 2) / (2.0 * 1.5**2))
+    window = np.outer(g / g.sum(), g / g.sum())
+    mu_p, mu_t = (ndimage.correlate(x, window, mode="reflect") for x in (p, t))
+    var_p = ndimage.correlate(p * p, window, mode="reflect") - mu_p * mu_p
+    var_t = ndimage.correlate(t * t, window, mode="reflect") - mu_t * mu_t
+    cov = ndimage.correlate(p * t, window, mode="reflect") - mu_p * mu_t
+    num = (2.0 * mu_p * mu_t + 0.01**2) * (2.0 * cov + 0.03**2)
+    den = (mu_p * mu_p + mu_t * mu_t + 0.01**2) * (var_p + var_t + 0.03**2)
+    return float(np.sqrt(((pk - tk) ** 2).mean())), psnr, float((num / den).mean()), acc
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stack_records_match_one_date_view_across_chunks(threads):
+    rng = np.random.default_rng(50)
+    pred, truth, clim, dates = eval_stacks(rng, 5 * (_CHUNK_CELLS // (12 * 13)) // 2)
+    pred[7] = truth[7]  # an identical prediction
+    records = evaluate_stack(pred, truth, clim, STATS, dates, 45, threads=threads)
+    assert records == per_date(pred, truth, clim, dates, False)
+    assert math.isinf(records[7].psnr) and records[7].overlap is None
+    assert len({r.season for r in records}) == 4
+    for k in range(0, len(dates), 97):
+        r = records[k]
+        assert (r.rmse, r.psnr, r.ssim, r.acc) == field_by_field(pred[k], truth[k], clim[k])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clim_index_picks_each_dates_climatology(threads):
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(57), 40)
+    one_map = evaluate_stack(pred, truth, clim[3:4], STATS, dates, 45, threads=threads,
+                             clim_index=np.zeros(40, dtype=int))
+    assert one_map == per_date(pred, truth, [clim[3]] * 40, dates, False)
+    order = np.random.default_rng(58).permutation(40)
+    shuffled = evaluate_stack(pred, truth, clim[order], STATS, dates, 45, threads=threads,
+                              clim_index=np.argsort(order))
+    assert shuffled == per_date(pred, truth, clim, dates, False)
+
+
+def test_mismatched_stacks_are_rejected():
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(59), 4)
+    with pytest.raises(ShapeMismatch):
+        evaluate_stack(pred, truth, clim, STATS, dates[:3], 45)
+    with pytest.raises(ShapeMismatch):
+        evaluate_stack(pred, truth[:3], clim, STATS, dates, 45)
+    with pytest.raises(ShapeMismatch):
+        evaluate_stack(pred, truth, clim[:1], STATS, dates, 45)
+    for index in ([0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]):
+        with pytest.raises(ShapeMismatch):
+            evaluate_stack(pred, truth, clim, STATS, dates, 45, clim_index=index)
+    with pytest.raises(FormatError):
+        evaluate_stack(pred[0], truth[0], clim[0], STATS, dates[:1], 45)
+    nan_pred = pred.copy()
+    nan_pred[2, 3, 3] = np.nan
+    with pytest.raises(OutOfRange):
+        evaluate_stack(nan_pred, truth, clim, STATS, dates, 45)
+
+
+def test_evaluate_memory_does_not_grow_with_the_stack():
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(60), 400, shape=(64, 64))
+    evaluate_stack(pred[:1], truth[:1], clim[:1], STATS, dates[:1], 45)  # imports scipy.ndimage
+    tracemalloc.start()
+    try:
+        records = evaluate_stack(pred, truth, clim[:1], STATS, dates, 45, clim_index=np.zeros(400, dtype=int))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 400
+    # one input stack is 13 MB; whole-stack kelvin copies would need several of them
+    assert peak < 0.8 * pred.nbytes, (peak, pred.nbytes)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stack_overlaps_match_one_date_view(threads):
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(51), 9, shape=(16, 21))
+    records = evaluate_stack(pred, truth, clim, STATS, dates, 45, with_overlap=True, threads=threads)
+    assert records == per_date(pred, truth, clim, dates, True)
+    assert all(0.0 < r.overlap <= 1.0 for r in records)
+
+
+def test_out_of_range_reports_the_earliest_field():
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(52), 6)
+    clim[1, 0, 0] = -0.5
+    truth[2, 2, 3] = 1.0 + 1e-6
+    pred[2, 5, 5] = 1.25
+    clim[2, 1, 1] = 1.5
+    for want in (clim[1], pred[2], truth[2], clim[2]):  # by date, then pred, truth, clim
+        with pytest.raises(OutOfRange) as field_err:
+            denormalize(ScalarField(want), STATS)
+        with pytest.raises(OutOfRange) as stack_err:
+            evaluate_stack(pred, truth, clim, STATS, dates, 45)
+        assert str(stack_err.value) == str(field_err.value)
+        want[...] = 0.5
+
+
+def test_constant_anomaly_and_degenerate_sample():
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(53), 6)
+    const_anomaly = truth.copy()
+    const_anomaly[3] = clim[3]
+    with pytest.raises(ZeroVariance):
+        evaluate_stack(pred, const_anomaly, clim, STATS, dates, 45)
+    for flat_date, error in ((2, DegenerateSample), (3, DegenerateSample), (4, ZeroVariance)):
+        flat = pred.copy()
+        flat[flat_date] = 0.5
+        evaluate_stack(flat, truth, clim, STATS, dates, 45)  # only the KDE needs spread
+        # the earliest failing date wins; on one date the KDE fails first
+        with pytest.raises(error):
+            evaluate_stack(flat, const_anomaly, clim, STATS, dates, 45, with_overlap=True)
+    with pytest.raises(ZeroVariance):
+        evaluate_stack(flat, const_anomaly, clim, STATS, dates, 45)
+    flat[5] = 1.5
+    with pytest.raises(OutOfRange):  # a field out of range beats both
+        evaluate_stack(flat, const_anomaly, clim, STATS, dates, 45, with_overlap=True)
+
+
+def test_empty_stack_gives_no_records():
+    pred, truth, clim, _ = eval_stacks(np.random.default_rng(54), 0)
+    assert evaluate_stack(pred, truth, clim, STATS, (), 45, with_overlap=True, threads=2) == []
+
+
+# ---------------------------------------------------------------------------
+# Exact KDE in bounded memory
+
+
+def test_blocked_kde_equals_one_shot_sum():
+    rng = np.random.default_rng(55)
+    samples = rng.normal(size=1500)  # 48 blocks of grid points
+    grid = np.linspace(-5.0, 5.0, 2048)
+    z = (grid[:, None] - samples[None, :]) / 0.3
+    one_shot = np.exp(-0.5 * z * z).sum(axis=1) / (samples.size * 0.3 * math.sqrt(2.0 * math.pi))
+    assert _kde(samples, 0.3, grid).tobytes() == one_shot.tobytes()
+
+
+def test_kde_stays_under_its_memory_budget():
+    rng = np.random.default_rng(56)
+    p, q = rng.normal(size=8000), rng.normal(0.5, 1.2, size=8000)
+    tracemalloc.start()
+    try:
+        overlap = kde_overlap(p, q)
+        tail = tail_overlap(p, q, "above_p95")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < overlap < 1.0 and 0.0 < tail
+    # the one-shot evaluation needs 2048 x 8000 x 8 B = 131 MB per temporary
+    assert peak < 8e6, peak
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    code = "import sys, topofield; print('scipy.ndimage' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src, "PATH": ""})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
