@@ -114,15 +114,23 @@ def _parse_bins(spec: str) -> tuple[float, ...]:
     raise argparse.ArgumentTypeError(f"bin edges must be finite numbers, got {spec!r}")
 
 
-def _positive_int(text) -> int:
-    """argparse type for a count of at least 1."""
-    try:
-        n = int(text)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """argparse type for an integer of at least ``low``."""
+
+    def parse(text) -> int:
+        try:
+            n = int(text)
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _parse_date(s: str) -> dt.date:
@@ -434,8 +442,8 @@ def _cmd_stratify(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    spec_dict = json.loads(Path(args.spec).read_text())
-    if args.seed is not None:
+    spec_dict = _read_json(args.spec, "climate spec")
+    if args.seed is not None and isinstance(spec_dict, dict):
         spec_dict["seed"] = args.seed
     spec = ClimateSpec.from_dict(spec_dict)
     stack = generate_climate(spec)
@@ -511,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date", type=_parse_date)
     p.add_argument("--tau", type=int)
     p.add_argument("--count", type=_positive_int, help="draw this many (date, tau) samples")
-    p.add_argument("--seed", type=int, default=0, help="seed of the --count draws (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="seed of the --count draws (default 0)")
     p.add_argument("--train-years", type=_parse_years)
     p.add_argument("--test-years", type=_parse_years)
     p.add_argument("--role", choices=("train", "test"))
@@ -577,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic climate stack")
     p.add_argument("--spec", required=True, help="climate-spec JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, help="override the spec seed")
     p.add_argument("--output", required=True)
     common(p)
 

@@ -318,38 +318,38 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> i
     return size
 
 
-def _saturates(forced: np.ndarray, dist_rows: np.ndarray, t: float) -> bool:
-    """Can every forced point be matched injectively within distance t?"""
-    if forced.size == 0:
+def _saturates(within: np.ndarray) -> bool:
+    """Can every row (a forced point) be matched injectively to a column it reaches?"""
+    if within.shape[0] == 0:
         return True
-    rows, cols = np.nonzero(dist_rows[forced] <= t)
-    degree = np.bincount(rows, minlength=forced.size)
+    rows, cols = np.nonzero(within)
+    degree = np.bincount(rows, minlength=within.shape[0])
     if not degree.all():
         return False
     cols = cols.tolist()
     ends = np.cumsum(degree).tolist()
     adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
-    return _hopcroft_karp(forced.size, dist_rows.shape[1], adj) == forced.size
+    return _hopcroft_karp(within.shape[0], within.shape[1], adj) == within.shape[0]
 
 
-def _matching_feasible(half_a, half_b, dist: np.ndarray, dist_t: np.ndarray, t: float) -> bool:
+def _matching_feasible(half_a, half_b, dist: np.ndarray, t: float) -> bool:
     """Matching-with-diagonal feasibility at threshold t.
 
     A matching within t exists iff the points forced off the diagonal
     (half-persistence above t) on each side can each be covered on their
     own: by the Mendelsohn-Dulmage theorem two one-sided coverings merge
-    into one matching covering both. ``dist_t`` is ``dist`` transposed and
-    C-contiguous, so each side's test gathers whole rows.
+    into one matching covering both.
     """
-    forced_a = np.nonzero(half_a > t)[0]
-    forced_b = np.nonzero(half_b > t)[0]
-    return _saturates(forced_a, dist, t) and _saturates(forced_b, dist_t, t)
+    within = dist <= t
+    return _saturates(within[half_a > t]) and _saturates(within.T[half_b > t])
 
 
 def _linf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """L-infinity distance from every point of p (rows) to every point of q."""
-    dist = np.abs(np.subtract.outer(p[:, 0], q[:, 0]))
-    return np.maximum(dist, np.abs(np.subtract.outer(p[:, 1], q[:, 1])), out=dist)
+    dist = np.subtract.outer(p[:, 0], q[:, 0])
+    np.abs(dist, out=dist)
+    other = np.subtract.outer(p[:, 1], q[:, 1])
+    return np.maximum(dist, np.abs(other, out=other), out=dist)
 
 
 def _finite_bottleneck(a: list, b: list) -> float:
@@ -368,13 +368,12 @@ def _finite_bottleneck(a: list, b: list) -> float:
     # the all-diagonal matching caps the optimum, so larger costs are noise
     halves = np.concatenate([half_a, half_b])
     levels = np.unique(np.concatenate(([0.0], halves, dist[dist <= halves.max()])))
-    dist_t = _linf(arr_b, arr_a)
     lo, hi = 0, len(levels) - 1
-    if not _matching_feasible(half_a, half_b, dist, dist_t, levels[hi]):
+    if not _matching_feasible(half_a, half_b, dist, levels[hi]):
         raise AssertionError("bottleneck search has no feasible candidate")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(half_a, half_b, dist, dist_t, levels[mid]):
+        if _matching_feasible(half_a, half_b, dist, levels[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -435,8 +434,12 @@ def read_diagram_csv(path) -> dict[int, PersistenceDiagram]:
             continue
         if len(row) != 3:
             raise FormatError(f"bad diagram CSV row: {row}")
-        dim = int(row[0])
-        birth = float(row[1])
-        death = INF if row[2].strip() == "inf" else float(row[2])
+        try:
+            dim, birth = int(row[0]), float(row[1])
+            death = INF if row[2].strip() == "inf" else float(row[2])
+        except ValueError:
+            raise FormatError(f"bad diagram CSV row: {row}") from None
+        if not math.isfinite(birth):
+            raise FormatError(f"bad diagram CSV row: {row} (birth is not finite)")
         by_dim.setdefault(dim, []).append((birth, death))
     return {dim: PersistenceDiagram(dim, tuple(pairs)) for dim, pairs in by_dim.items()}

@@ -10,7 +10,9 @@ and bit-reproducible.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -54,8 +56,23 @@ class ClimateSpec:
     start_year: int = 2010
 
     def __post_init__(self):
+        for name in ("n_years", "height", "width", "seed", "start_year"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise FormatError(f"climate-spec {name} must be an integer, got {value!r}")
+        for name in ("annual_amp", "interannual_amp", "weather_amp", "ar1_coeff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise FormatError(f"climate-spec {name} must be a finite number, got {value!r}")
         if self.n_years < 4:
             raise FormatError("need at least 4 years (3 aligned inputs + 1 target year)")
+        if self.height < 2 or self.width < 2:
+            raise FormatError(f"grid {self.height}x{self.width} is smaller than 2x2")
+        if self.seed < 0:
+            raise FormatError(f"seed must be nonnegative, got {self.seed}")
+        if not dt.MINYEAR <= self.start_year <= dt.MAXYEAR - self.n_years + 1:
+            last = self.start_year + self.n_years - 1
+            raise FormatError(f"years {self.start_year}-{last} fall outside {dt.MINYEAR}-{dt.MAXYEAR}")
         if min(self.annual_amp, self.interannual_amp, self.weather_amp) < 0:
             raise FormatError("amplitudes must be nonnegative")
         if not 0.0 <= self.ar1_coeff < 1.0:
@@ -63,10 +80,15 @@ class ClimateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClimateSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise FormatError(f"climate spec must be a JSON object, got {d!r}")
+        fields = cls.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise FormatError(f"unknown climate-spec keys: {sorted(unknown)}")
+        missing = [k for k, f in fields.items() if f.default is MISSING and k not in d]
+        if missing:
+            raise FormatError(f"missing climate-spec keys: {missing}")
         return cls(**d)
 
 

@@ -67,14 +67,14 @@ class DualSample:
         return self.inter_dates + self.intra_dates
 
 
-def interannual_dates(t: dt.date, years_back: int = 3, start: dt.date | None = None):
-    """Same (month, day) in the ``years_back`` previous years, oldest first.
+def interannual_dates(t: dt.date, start: dt.date | None = None):
+    """Same (month, day) in the three previous years, oldest first.
 
     Feb 29 targets map to Feb 28 in non-leap prior years. If ``start`` is
     given, any resulting date before it raises InsufficientHistory.
     """
     out = []
-    for k in range(years_back, 0, -1):
+    for k in (3, 2, 1):
         year = t.year - k
         month, day = t.month, t.day
         try:
@@ -160,14 +160,11 @@ class Climatology:
         return self.entries[key]
 
 
-def build_climatology(
-    stack: FieldStack, split: SplitSpec, channel: int = 0, require_all_days: bool = False
-) -> Climatology:
-    """Pointwise day-of-year means over training-year fields.
+def build_climatology(stack: FieldStack, split: SplitSpec) -> Climatology:
+    """Pointwise day-of-year means of the SF channel over training-year fields.
 
     The Feb 29 entry averages only leap years. Test-year fields are never
-    read. With ``require_all_days`` a missing calendar day raises
-    MissingDayOfYear instead of being left absent.
+    read.
     """
     sums: dict = {}
     counts: dict = {}
@@ -178,25 +175,14 @@ def build_climatology(
         any_train = True
         key = (d.month, d.day)
         if key in sums:
-            sums[key] = sums[key] + stack.values[i, channel]
+            sums[key] = sums[key] + stack.values[i, 0]
             counts[key] += 1
         else:
-            sums[key] = stack.values[i, channel].copy()
+            sums[key] = stack.values[i, 0].copy()
             counts[key] = 1
     if not any_train:
         raise EmptyTrainingSet("no training-year dates in the stack")
-    entries = {key: ScalarField(sums[key] / counts[key]) for key in sums}
-    if require_all_days:
-        want = {(m, d) for m in range(1, 13) for d in range(1, _days_in_month(m) + 1)}
-        missing = sorted(want - set(entries))
-        if missing:
-            m, d = missing[0]
-            raise MissingDayOfYear(f"no training data for {m:02d}-{d:02d}")
-    return Climatology(entries)
-
-
-def _days_in_month(month: int) -> int:
-    return [31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31][month - 1]
+    return Climatology({key: ScalarField(sums[key] / counts[key]) for key in sums})
 
 
 def climatology_forecast(clim: Climatology, t: dt.date) -> ScalarField:

@@ -460,6 +460,60 @@ def test_undecodable_config_is_exit_1(tmp_path, raw_stack, capsys):
     assert "error [config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    "{not json",
+    "null",
+    json.dumps(dict(CLIMATE_SPEC, n_years="five")),
+    json.dumps(dict(CLIMATE_SPEC, annual_amp=None)),
+    json.dumps(dict(CLIMATE_SPEC, height=24.5)),
+    json.dumps(dict(CLIMATE_SPEC, seed="x")),
+    json.dumps(dict(CLIMATE_SPEC, seed=-1)),
+    json.dumps(dict(CLIMATE_SPEC, height=1)),
+    json.dumps(dict(CLIMATE_SPEC, start_year=0)),
+    json.dumps({"n_years": 4}),
+], ids=["malformed", "null", "text-count", "null-amplitude", "fractional-height", "text-seed",
+        "negative-seed", "one-row-grid", "year-zero", "missing-keys"])
+def test_bad_climate_spec_is_exit_1(tmp_path, content, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(content)
+    out = tmp_path / "climate.gfs"
+    assert run(["synth", "--spec", str(spec), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [format_error]: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--spec", "spec.json", "--seed", "-3"],
+    ["sample", "--input", "x.gfs", "--count", "2", "--seed", "-1"],
+])
+def test_negative_seed_is_usage_error(args, capsys):
+    assert run(args) == 2
+    assert "error [usage]: argument --seed: must be at least 0, got" in capsys.readouterr().err
+
+
+def test_negative_seed_from_config_is_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CLIMATE_SPEC))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    out = tmp_path / "climate.gfs"
+    assert run(["synth", "--spec", str(spec), "--output", str(out), "--config", str(cfg)]) == 1
+    assert "error [format_error]: --seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["x,0.1,0.2", "1,abc,0.2", "1,0.1,zz", "1,-inf,0.2", "1,nan,inf"])
+def test_bad_diagram_csv_row_is_exit_1(tmp_path, row, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("dim,birth,death\n1,0.1,0.3\n")
+    bad.write_text(f"dim,birth,death\n1,0.1,0.3\n{row}\n")
+    assert run(["bottleneck", str(good), str(bad), "--json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [format_error]: bad diagram CSV row: ") and err.count("\n") == 1
+    assert repr(row.split(",")) in err
+
+
 @pytest.mark.parametrize("case", ["stats-input", "output", "config"])
 def test_directory_path_is_io_error(tmp_path, raw_stack, case, capsys):
     out = tmp_path / "out.gfs"

@@ -101,6 +101,23 @@ def test_bottleneck_with_tied_costs_matches_oracles():
         assert got == bruteforce_bottleneck(a, b), (a, b)
 
 
+def test_bottleneck_search_holds_one_distance_matrix():
+    truth = small_rough_field((60, 120))
+    noise = np.random.default_rng(1).standard_normal(truth.shape)
+    pred = np.clip(truth + 0.02 * noise, 0.0, 1.0)
+    a, b = sublevel_persistence(truth, 1), sublevel_persistence(pred, 1)
+    matrix_bytes = 8 * len(a.finite_pairs) * len(b.finite_pairs)
+    assert matrix_bytes > 2**20
+    tracemalloc.start()
+    try:
+        bottleneck_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 distance matrix plus boolean masks and the candidate set
+    assert peak < 3.5 * matrix_bytes, peak / matrix_bytes
+
+
 # ---------------------------------------------------------------------------
 # Structural channels
 
