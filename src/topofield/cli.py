@@ -103,25 +103,17 @@ def _parse_years(spec: str) -> frozenset[int]:
     return frozenset(years)
 
 
-def _parse_bins(spec: str) -> tuple[float, ...]:
-    """argparse type for comma-separated bin edges."""
-    try:
-        edges = tuple(float(e) for e in spec.split(","))
-        if all(math.isfinite(e) for e in edges):
-            return edges
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"bin edges must be finite numbers, got {spec!r}")
+def _number_at_least(kind: type, low):
+    """argparse type for a finite ``kind`` (int or float) of at least ``low``."""
+    noun = "an integer" if kind is int else "a finite number"
 
-
-def _int_at_least(low: int):
-    """argparse type for an integer of at least ``low``."""
-
-    def parse(text) -> int:
+    def parse(text):
         try:
-            n = int(text)
+            n = kind(text)
         except (TypeError, ValueError):
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+            n = math.nan
+        if not math.isfinite(n):
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}")
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
         return n
@@ -129,8 +121,15 @@ def _int_at_least(low: int):
     return parse
 
 
-_positive_int = _int_at_least(1)
-_nonnegative_int = _int_at_least(0)
+_positive_int = _number_at_least(int, 1)
+_nonnegative_int = _number_at_least(int, 0)
+_nonnegative_float = _number_at_least(float, 0.0)
+_finite_float = _number_at_least(float, -math.inf)
+
+
+def _parse_bins(spec: str) -> tuple[float, ...]:
+    """argparse type for comma-separated bin edges."""
+    return tuple(_finite_float(e) for e in spec.split(","))
 
 
 def _parse_date(s: str) -> dt.date:
@@ -504,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="normalize with these percentiles before filtering")
     p.add_argument("--date", type=_parse_date)
     p.add_argument("--dim", type=int, choices=(0, 1), default=None, help="restrict to one dimension")
-    p.add_argument("--min-persistence", type=float, default=0.0)
+    p.add_argument("--min-persistence", type=_nonnegative_float, default=0.0)
     p.add_argument("--output")
     common(p)
 
@@ -537,9 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", help="fusion-weight regularizer terms")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--eta1", type=float, default=0.0)
-    p.add_argument("--eta2", type=float, default=0.0)
-    p.add_argument("--eta3", type=float, default=0.0)
+    for flag in ("--eta1", "--eta2", "--eta3"):
+        p.add_argument(flag, type=_nonnegative_float, default=0.0)
     p.add_argument("--target", type=float, default=0.5)
     common(p)
 
@@ -550,14 +548,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real-scores", help="JSON array of discriminator scores")
     p.add_argument("--fake-scores", help="JSON array of discriminator scores")
     p.add_argument("--lambda", dest="lam", help="lambda map stack for the regularizer")
-    p.add_argument("--eta1", type=float, default=0.0)
-    p.add_argument("--eta2", type=float, default=0.0)
-    p.add_argument("--eta3", type=float, default=0.0)
+    for flag in ("--eta1", "--eta2", "--eta3"):
+        p.add_argument(flag, type=_nonnegative_float, default=0.0)
     p.add_argument("--target", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    for flag, default in (("--alpha", 1.0), ("--beta", 0.0), ("--gamma", 0.0), ("--delta", 0.0)):
+        p.add_argument(flag, type=_nonnegative_float, default=default)
     p.add_argument("--step", type=int, default=0)
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--every", type=int, default=5)

@@ -94,14 +94,6 @@ class ScalarField:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @classmethod
-    def zeros(cls, height: int = DEFAULT_HEIGHT, width: int = DEFAULT_WIDTH) -> "ScalarField":
-        return cls(np.zeros((height, width)))
-
-    @classmethod
-    def full(cls, value: float, height: int = DEFAULT_HEIGHT, width: int = DEFAULT_WIDTH) -> "ScalarField":
-        return cls(np.full((height, width), float(value)))
-
 
 @dataclass(frozen=True)
 class FieldStack:

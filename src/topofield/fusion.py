@@ -49,8 +49,8 @@ class RegWeights:
     lambda_target: float = 0.5
 
     def __post_init__(self):
-        if min(self.eta1, self.eta2, self.eta3) < 0:
-            raise FormatError("regularizer weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in (self.eta1, self.eta2, self.eta3)):
+            raise FormatError("regularizer weights must be finite and nonnegative")
         if not 0.0 <= self.lambda_target <= 1.0:
             raise FormatError("lambda_target must lie in [0, 1]")
 

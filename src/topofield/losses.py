@@ -24,8 +24,8 @@ class LossWeights:
     delta: float = 0.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
-            raise FormatError("loss weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in (self.alpha, self.beta, self.gamma, self.delta)):
+            raise FormatError("loss weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

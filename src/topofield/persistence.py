@@ -34,6 +34,7 @@ from .field import as_values
 from .order import vertex_ranks
 
 INF = math.inf
+_WINDOW_CHUNK = 1 << 16  # birth-window entries the bottleneck examines per block of rows
 
 # Recorded in machine-readable outputs for provenance.
 FILTRATION_CONFIG = {
@@ -259,8 +260,8 @@ def sublevel_persistence_reduction(field, dim: int) -> PersistenceDiagram:
 
 def filter_by_persistence(pd: PersistenceDiagram, min_persistence: float) -> PersistenceDiagram:
     """Drop finite pairs with death - birth < min_persistence; keep essentials."""
-    if min_persistence < 0:
-        raise FormatError("min_persistence must be nonnegative")
+    if not min_persistence >= 0:
+        raise FormatError(f"min_persistence must be a nonnegative number, got {min_persistence!r}")
     kept = tuple(
         (b, d) for b, d in pd.pairs if math.isinf(d) or d - b >= min_persistence
     )
@@ -318,65 +319,75 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> i
     return size
 
 
-def _saturates(within: np.ndarray) -> bool:
-    """Can every row (a forced point) be matched injectively to a column it reaches?"""
-    if within.shape[0] == 0:
-        return True
-    rows, cols = np.nonzero(within)
-    degree = np.bincount(rows, minlength=within.shape[0])
-    if not degree.all():
-        return False
-    cols = cols.tolist()
+def _saturates(rows, cols, dist, half: np.ndarray, n_cols: int, t: float) -> bool:
+    """Can every row forced at t (half above t) be matched injectively to a column within t?"""
+    forced = half > t
+    keep = forced[rows] & (dist <= t)
+    degree = np.bincount(rows[keep], minlength=forced.size)[forced]
+    cols = cols[keep].tolist()
     ends = np.cumsum(degree).tolist()
     adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
-    return _hopcroft_karp(within.shape[0], within.shape[1], adj) == within.shape[0]
+    return _hopcroft_karp(degree.size, n_cols, adj) == degree.size
 
 
-def _matching_feasible(half_a, half_b, dist: np.ndarray, t: float) -> bool:
-    """Matching-with-diagonal feasibility at threshold t.
+def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray):
+    """Rows (in order), columns and L-infinity distances d of the pairs with d < half_p[row].
 
-    A matching within t exists iff the points forced off the diagonal
-    (half-persistence above t) on each side can each be covered on their
-    own: by the Mendelsohn-Dulmage theorem two one-sided coverings merge
-    into one matching covering both.
+    Candidates are the inclusive birth windows, which rounding never narrows:
+    fl(|y - b|) < h means |y - b| < h exactly, so fl(b - h) <= y <= fl(b + h).
     """
-    within = dist <= t
-    return _saturates(within[half_a > t]) and _saturates(within.T[half_b > t])
-
-
-def _linf(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """L-infinity distance from every point of p (rows) to every point of q."""
-    dist = np.subtract.outer(p[:, 0], q[:, 0])
-    np.abs(dist, out=dist)
-    other = np.subtract.outer(p[:, 1], q[:, 1])
-    return np.maximum(dist, np.abs(other, out=other), out=dist)
+    order = np.argsort(q[:, 0], kind="stable").astype(np.int32)
+    births = q[order, 0]
+    start = np.searchsorted(births, p[:, 0] - half_p, "left")
+    count = np.searchsorted(births, p[:, 0] + half_p, "right") - start
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_WINDOW_CHUNK, count.sum(), _WINDOW_CHUNK), "right")
+    bounds = [0, *cuts.tolist(), len(p)]
+    parts = []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        c = count[r0:r1]
+        i = np.repeat(np.arange(r0, r1, dtype=np.int32), c)
+        j = order[np.arange(i.size) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)]
+        d = np.maximum(np.abs(p[i, 0] - q[j, 0]), np.abs(p[i, 1] - q[j, 1]))
+        keep = d < half_p[i]
+        parts.append((i[keep], j[keep], d[keep]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _finite_bottleneck(a: list, b: list) -> float:
-    # Points on the diagonal can always ride their own projection at cost 0
-    # and can never partner a forced point (any such edge would certify the
-    # point unforced), so they drop out exactly.
-    a = [p for p in a if p[1] > p[0]]
-    b = [q for q in b if q[1] > q[0]]
     if not a and not b:
         return 0.0
     arr_a = np.asarray(a, dtype=np.float64).reshape(len(a), 2)
     arr_b = np.asarray(b, dtype=np.float64).reshape(len(b), 2)
     half_a = (arr_a[:, 1] - arr_a[:, 0]) / 2.0
     half_b = (arr_b[:, 1] - arr_b[:, 0]) / 2.0
-    dist = _linf(arr_a, arr_b)
-    # the all-diagonal matching caps the optimum, so larger costs are noise
-    halves = np.concatenate([half_a, half_b])
-    levels = np.unique(np.concatenate(([0.0], halves, dist[dist <= halves.max()])))
-    lo, hi = 0, len(levels) - 1
-    if not _matching_feasible(half_a, half_b, dist, levels[hi]):
+    # A point forced at t (half above t) can use an edge only if d <= t < its
+    # half, and no point on the diagonal is within its half: each side needs
+    # just its rows' relevant edges (d below the row's half), and feasibility
+    # changes only at a half or a relevant distance.
+    edges_a = _near_edges(arr_a, half_a, arr_b)
+    edges_b = _near_edges(arr_b, half_b, arr_a)
+
+    def feasible(t: float) -> bool:
+        # Mendelsohn-Dulmage: covers of each side's forced points merge into one matching
+        return _saturates(*edges_a, half_a, half_b.size, t) and _saturates(*edges_b, half_b, half_a.size, t)
+
+    # every point pays at least its half or its nearest relevant distance
+    pay_a, pay_b = half_a.copy(), half_b.copy()
+    np.minimum.at(pay_a, edges_a[0], edges_a[2])
+    np.minimum.at(pay_b, edges_b[0], edges_b[2])
+    lb = max(pay_a.max(initial=0.0), pay_b.max(initial=0.0))
+    levels = np.unique(np.concatenate((half_a, half_b, edges_a[2], edges_b[2])))
+    levels = levels[np.searchsorted(levels, lb):]
+    # the all-diagonal matching (the largest half) caps the optimum
+    if not feasible(levels[-1]):
         raise AssertionError("bottleneck search has no feasible candidate")
+    lo, hi, mid = 0, len(levels) - 1, 0  # probe the lower bound first: often it is the optimum
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _matching_feasible(half_a, half_b, dist, levels[mid]):
+        if feasible(levels[mid]):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return float(levels[lo])
 
 
@@ -384,9 +395,9 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """Exact bottleneck distance between two same-dimension diagrams.
 
     Finite pairs match each other or their diagonal projection; essential
-    pairs match among themselves by birth difference. The optimum is found
-    by binary search over the exact candidate cost set with a maximum
-    bipartite matching feasibility test.
+    pairs match by birth difference. Only relevant edges (pairs nearer than
+    the larger half-persistence) are built. The largest per-point lower bound
+    is tested first, then a binary search over the exact candidate costs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")

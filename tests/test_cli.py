@@ -492,6 +492,33 @@ def test_negative_seed_is_usage_error(args, capsys):
     assert "error [usage]: argument --seed: must be at least 0, got" in capsys.readouterr().err
 
 
+_WEIGHT_FLAGS = ("--eta1", "--eta2", "--eta3")
+_LOSS_FLAGS = _WEIGHT_FLAGS + ("--alpha", "--beta", "--gamma", "--delta")
+
+
+@pytest.mark.parametrize("args", [
+    ["persistence", "--input", "x.gfs", "--min-persistence", "-1"],
+    ["persistence", "--input", "x.gfs", "--min-persistence", "nan"],
+    *(["regularize", "--lambda", "lam.gfs", flag, "nan"] for flag in _WEIGHT_FLAGS),
+    ["regularize", "--lambda", "lam.gfs", "--eta2", "-0.5"],
+    *(["losses", "--pred", "p.gfs", "--truth", "t.gfs", flag, "nan"] for flag in _LOSS_FLAGS),
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--gamma", "inf"],
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--alpha", "-1"],
+], ids=lambda args: " ".join([args[0], *args[-2:]]))
+def test_bad_threshold_or_weight_is_usage_error(args, capsys):
+    assert run(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error [usage]: argument {args[-2]}: must be ")
+
+
+def test_nan_weight_from_config_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eta1": "nan"}))
+    assert run(["regularize", "--lambda", "lam.gfs", "--config", str(cfg)]) == 1
+    assert "error [format_error]: --eta1 must be a finite number" in capsys.readouterr().err
+
+
 def test_negative_seed_from_config_is_exit_1(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(CLIMATE_SPEC))

@@ -176,6 +176,14 @@ class TestLReg:
         with pytest.raises(FormatError):
             RegWeights(eta1=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_weights_rejected(self, bad, slot):
+        weights = [1.0, 1.0, 1.0]
+        weights[slot] = bad
+        with pytest.raises(FormatError):
+            RegWeights(*weights)
+
 
 class TestPositionalEncoding:
     def test_corners(self):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from topofield import (
     CriticalKind,
@@ -34,6 +36,7 @@ from topofield import (
     sublevel_persistence_reduction,
     tail_overlap,
 )
+from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
 from topofield.metrics import _kde
 from topofield.field import _CHUNK_CELLS
@@ -116,6 +119,109 @@ def test_bottleneck_search_holds_one_distance_matrix():
         tracemalloc.stop()
     # the float64 distance matrix plus boolean masks and the candidate set
     assert peak < 3.5 * matrix_bytes, peak / matrix_bytes
+
+
+def test_bottleneck_peak_stays_below_one_distance_matrix():
+    truth = small_rough_field((60, 120))
+    noise = np.random.default_rng(1).standard_normal(truth.shape)
+    pred = np.clip(truth + 0.02 * noise, 0.0, 1.0)
+    a, b = sublevel_persistence(truth, 1), sublevel_persistence(pred, 1)
+    matrix_bytes = 8 * len(a.finite_pairs) * len(b.finite_pairs)
+    tracemalloc.start()
+    try:
+        bottleneck_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # relevant edges, the candidate set and one search step's adjacency only
+    assert peak < matrix_bytes, peak / matrix_bytes
+
+
+def dense_bottleneck(a: list, b: list) -> float:
+    """The unpruned search: the full n x m L-infinity matrix, every candidate
+    cost up to the largest half-persistence, and binary search with scipy's
+    maximum matching as each side's covering test."""
+    pa = np.array([p for p in a if p[1] > p[0]], dtype=np.float64).reshape(-1, 2)
+    pb = np.array([q for q in b if q[1] > q[0]], dtype=np.float64).reshape(-1, 2)
+    if not len(pa) and not len(pb):
+        return 0.0
+    half_a, half_b = (pa[:, 1] - pa[:, 0]) / 2.0, (pb[:, 1] - pb[:, 0]) / 2.0
+    dist = np.maximum(np.abs(np.subtract.outer(pa[:, 0], pb[:, 0])), np.abs(np.subtract.outer(pa[:, 1], pb[:, 1])))
+    halves = np.concatenate([half_a, half_b])
+    levels = np.unique(np.concatenate(([0.0], halves, dist[dist <= halves.max()])))
+
+    def covers(within: np.ndarray) -> bool:
+        if not within.any(axis=1).all():
+            return False
+        if within.shape[0] == 0:
+            return True
+        return bool((maximum_bipartite_matching(csr_matrix(within), perm_type="column") >= 0).all())
+
+    def feasible(t: float) -> bool:
+        within = dist <= t
+        return covers(within[half_a > t]) and covers(within.T[half_b > t])
+
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+# Decimal-looking values reached by different roundings, so that many births
+# sit exactly on a window end fl(b +- h) of another point.
+TENTHS = sorted({k / 10 for k in range(11)} | {k * 0.1 for k in range(11)} | {0.1 + 0.2, 0.7 + 0.1, 0.3 - 0.1, 1.1 - 0.3})
+
+
+def tenths_diagram(rng, n: int) -> list[tuple[float, float]]:
+    ends = np.sort(rng.choice(TENTHS, size=(n, 2)), axis=1)
+    return [(float(x), float(y)) for x, y in ends]
+
+
+def test_bottleneck_window_ends_keep_relevant_edges():
+    # a's window [b - h, b + h] ends exactly on b's birth, and the edge is relevant
+    right = [(0.1, 0.1 + 0.2)], [(0.2, 0.3)]
+    left = [(0.7 + 0.1, 1.0)], [(0.7, 0.9)]
+    for a, b in (right, left):
+        (xb, xd), (yb, _) = a[0], b[0]
+        assert yb in (xb - (xd - xb) / 2.0, xb + (xd - xb) / 2.0)
+        got = bottleneck_distance(PersistenceDiagram(1, tuple(a)), PersistenceDiagram(1, tuple(b)))
+        assert got == dense_bottleneck(a, b) == exhaustive_bottleneck(a, b) < (xd - xb) / 2.0
+
+
+def test_near_edges_match_the_dense_relevant_set(monkeypatch):
+    rng = np.random.default_rng(302)
+    on_window_end = 0
+    for chunk in (3, 1 << 16):  # many blocks, a row spanning several, and one block
+        monkeypatch.setattr(persistence, "_WINDOW_CHUNK", chunk)
+        for _ in range(100):
+            p = np.array(tenths_diagram(rng, int(rng.integers(0, 30)))).reshape(-1, 2)
+            q = np.array(tenths_diagram(rng, int(rng.integers(0, 30)))).reshape(-1, 2)
+            half = (p[:, 1] - p[:, 0]) / 2.0
+            dist = np.maximum(np.abs(np.subtract.outer(p[:, 0], q[:, 0])), np.abs(np.subtract.outer(p[:, 1], q[:, 1])))
+            want = {(i, j): dist[i, j] for i, j in zip(*np.nonzero(dist < half[:, None]))}
+            rows, cols, d = persistence._near_edges(p, half, q)
+            assert np.all(np.diff(rows) >= 0)
+            assert dict(zip(zip(rows.tolist(), cols.tolist()), d.tolist())) == want
+            on_window_end += sum(q[j, 0] in (p[i, 0] - half[i], p[i, 0] + half[i]) for i, j in want)
+    assert on_window_end > 50
+
+
+def test_bottleneck_matches_dense_search_on_rounding_and_tie_heavy_diagrams():
+    rng = np.random.default_rng(303)
+    for _ in range(300):
+        a = tenths_diagram(rng, int(rng.integers(0, 40)))
+        b = tenths_diagram(rng, int(rng.integers(0, 40)))
+        got = bottleneck_distance(PersistenceDiagram(1, tuple(a)), PersistenceDiagram(1, tuple(b)))
+        assert got == dense_bottleneck(a, b), (a, b)
+    for _ in range(300):
+        a = integer_diagram(rng, 45)
+        b = integer_diagram(rng, 45)
+        got = bottleneck_distance(PersistenceDiagram(1, tuple(a)), PersistenceDiagram(1, tuple(b)))
+        assert got == dense_bottleneck(a, b), (a, b)
 
 
 # ---------------------------------------------------------------------------

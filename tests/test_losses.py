@@ -181,6 +181,14 @@ class TestCompositeGate:
         with pytest.raises(FormatError):
             GateSchedule(warmup_steps=-1)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_invalid_weights(self, bad, slot):
+        weights = [1.0, 1.0, 1.0, 1.0]
+        weights[slot] = bad
+        with pytest.raises(FormatError):
+            LossWeights(*weights)
+
     def test_report_includes_gate_state(self):
         rep = loss_report(1.0, 0.5, 0.2, 0.7, self.W, 15, self.G)
         assert rep["topo_gate_open"] is True

@@ -13,7 +13,7 @@ from topofield import (
     sublevel_persistence_reduction,
     write_diagram_csv,
 )
-from topofield.errors import DimensionMismatch
+from topofield.errors import DimensionMismatch, FormatError
 
 from oracles import count_local_minima, naive_sublevel_pairs
 
@@ -151,6 +151,12 @@ class TestFilter:
     def test_essential_pairs_survive_any_threshold(self):
         pd = PersistenceDiagram(0, ((0.5, INF),))
         assert filter_by_persistence(pd, 1e9).pairs == ((0.5, INF),)
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_negative_or_nan_threshold_rejected(self, threshold):
+        pd = PersistenceDiagram(0, ((0.0, 2.0), (1.0, 1.05)))
+        with pytest.raises(FormatError):
+            filter_by_persistence(pd, threshold)
 
 
 class TestDiagramCsv:
