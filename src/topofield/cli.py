@@ -553,9 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=0.5)
     for flag, default in (("--alpha", 1.0), ("--beta", 0.0), ("--gamma", 0.0), ("--delta", 0.0)):
         p.add_argument(flag, type=_nonnegative_float, default=default)
-    p.add_argument("--step", type=int, default=0)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--every", type=int, default=5)
+    p.add_argument("--step", type=_nonnegative_int, default=0)
+    p.add_argument("--warmup", type=_nonnegative_int, default=0)
+    p.add_argument("--every", type=_positive_int, default=5)
     common(p)
 
     p = sub.add_parser("evaluate", help="verification metrics per date")
@@ -563,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--clim", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--tau", type=int, default=0, help="lead time recorded with each row")
+    p.add_argument("--tau", type=_nonnegative_int, default=0, help="lead time recorded with each row")
     p.add_argument("--overlap", action="store_true", help="add per-date KDE overlap")
     p.add_argument("--output", help="records CSV")
     p.add_argument("--summary", help="per-season summary CSV")

@@ -66,6 +66,8 @@ class EvalRecord:
     overlap: float | None = None
 
     def __post_init__(self):
+        if self.tau < 0:
+            raise FormatError(f"lead time tau must be nonnegative, got {self.tau}")
         if self.season != season_of(self.target_date):
             raise FormatError(
                 f"season {self.season} inconsistent with {self.target_date} "
@@ -187,21 +189,31 @@ def _acc(p: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    """The normalized 2D Gaussian window as a (1, size, size) kernel: one date at a time."""
+    """The normalized 2D Gaussian window as a ``(size, size)`` array."""
     half = size // 2
     x = np.arange(size, dtype=np.float64) - half
     g = np.exp(-(x**2) / (2.0 * sigma**2))
     g = g / g.sum()
-    return np.outer(g, g)[None]
+    return np.outer(g, g)
 
 
 _SSIM_KERNEL = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
 
 
 def _local_mean(x: np.ndarray) -> np.ndarray:
-    from scipy import ndimage  # imported on first use: most commands never filter
+    """Each date of ``x`` correlated with the window, reflect-padded at the edges.
 
-    return ndimage.correlate(x, _SSIM_KERNEL, mode="reflect")
+    Byte-identical to ``scipy.ndimage.correlate(x, kernel[None], mode="reflect")``:
+    ``symmetric`` padding is ndimage's ``reflect``, and the taps are summed
+    from zero in row-major kernel order, as ndimage's loop sums them.
+    """
+    half = SSIM_WINDOW // 2
+    h, w = x.shape[1:]
+    padded = np.pad(x, ((0, 0), (half, half), (half, half)), mode="symmetric")
+    acc = np.zeros(x.shape)
+    for (i, j), weight in np.ndenumerate(_SSIM_KERNEL):
+        acc += padded[:, i:i + h, j:j + w] * weight
+    return acc
 
 
 def _ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:

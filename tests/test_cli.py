@@ -519,6 +519,27 @@ def test_nan_weight_from_config_is_exit_1(tmp_path, capsys):
     assert "error [format_error]: --eta1 must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--every", "0"],
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--step", "-3"],
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--warmup", "-1"],
+    ["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--every", "2.5"],
+    ["evaluate", "--pred", "p.gfs", "--truth", "t.gfs", "--clim", "c.gfs", "--stats", "s.json", "--tau", "-7"],
+], ids=lambda args: " ".join([args[0], *args[-2:]]))
+def test_bad_step_or_lead_time_is_usage_error(args, capsys):
+    assert run(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error [usage]: argument {args[-2]}: must be ")
+
+
+def test_zero_every_from_config_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"every": 0}))
+    assert run(["losses", "--pred", "p.gfs", "--truth", "t.gfs", "--config", str(cfg)]) == 1
+    assert "error [format_error]: --every must be at least 1" in capsys.readouterr().err
+
+
 def test_negative_seed_from_config_is_exit_1(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(CLIMATE_SPEC))

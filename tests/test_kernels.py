@@ -5,6 +5,7 @@ independent oracles."""
 
 import datetime as dt
 import importlib
+import json
 import math
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from topofield import (
 )
 from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
-from topofield.metrics import _kde
+from topofield.metrics import _SSIM_KERNEL, _kde, _local_mean
 from topofield.field import _CHUNK_CELLS
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
@@ -369,6 +370,33 @@ def field_by_field(p, t, c):
     return float(np.sqrt(((pk - tk) ** 2).mean())), psnr, float((num / den).mean()), acc
 
 
+def column_major_local_mean(x):
+    """``_local_mean`` with its taps summed column by column: equal in exact
+    arithmetic, but not in floating point."""
+    h, w = x.shape[1:]
+    padded = np.pad(x, ((0, 0), (5, 5), (5, 5)), mode="symmetric")
+    acc = np.zeros(x.shape)
+    for j in range(11):
+        for i in range(11):
+            acc += padded[:, i:i + h, j:j + w] * _SSIM_KERNEL[i, j]
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(1, 11, 11), (3, 12, 40), (31, 24, 32), (2, 101, 237)])
+def test_local_mean_is_byte_equal_to_ndimage_correlate(shape):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(sum(shape))
+    a, b = rng.uniform(0.0, 1.0, size=(2, *shape))
+    reordered_differs = False
+    for x in (a, a * a, a * b):
+        want = ndimage.correlate(x, _SSIM_KERNEL[None], mode="reflect")
+        assert _local_mean(x).tobytes() == want.tobytes()
+        reordered_differs |= column_major_local_mean(x).tobytes() != want.tobytes()
+    # the comparison is exact enough to tell the tap order apart
+    assert reordered_differs
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_stack_records_match_one_date_view_across_chunks(threads):
     rng = np.random.default_rng(50)
@@ -416,7 +444,6 @@ def test_mismatched_stacks_are_rejected():
 
 def test_evaluate_memory_does_not_grow_with_the_stack():
     pred, truth, clim, dates = eval_stacks(np.random.default_rng(60), 400, shape=(64, 64))
-    evaluate_stack(pred[:1], truth[:1], clim[:1], STATS, dates[:1], 45)  # imports scipy.ndimage
     tracemalloc.start()
     try:
         records = evaluate_stack(pred, truth, clim[:1], STATS, dates, 45, clim_index=np.zeros(400, dtype=int))
@@ -504,12 +531,65 @@ def test_kde_stays_under_its_memory_budget():
     assert peak < 8e6, peak
 
 
-def test_import_leaves_scipy_ndimage_unloaded():
-    code = "import sys, topofield; print('scipy.ndimage' in sys.modules)"
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def command_argvs(tmp_path) -> list[list[str]]:
+    """One run of every command but ``synth`` on small inputs made here."""
+    from topofield.cli import run
+    from topofield.gfs import write_stack
+
+    p = {name: str(tmp_path / name) for name in (
+        "spec.json", "climate.gfs", "stats.json", "norm.gfs", "channels.gfs", "a.csv", "b.csv",
+        "pred.gfs", "truth.gfs", "clim.gfs", "lam.gfs", "err.gfs", "fused.gfs", "records.csv", "summary.csv")}
+    Path(p["spec.json"]).write_text(json.dumps({
+        "n_years": 4, "height": 12, "width": 14, "annual_amp": 1.0, "interannual_amp": 0.3,
+        "weather_amp": 0.4, "ar1_coeff": 0.7, "seed": 11}))
+    assert run(["synth", "--spec", p["spec.json"], "--output", p["climate.gfs"]]) == 0
+    pred, truth, clim, dates = eval_stacks(np.random.default_rng(61), 4, shape=(12, 14))
+    lam = np.random.default_rng(62).uniform(0.0, 1.0, size=pred.shape)
+    for name, vals in (("pred.gfs", pred), ("truth.gfs", truth), ("clim.gfs", clim), ("lam.gfs", lam),
+                       ("err.gfs", 6.0 * lam)):
+        write_stack(FieldStack(dates, vals[:, None]), p[name])
+    day = dates[1].isoformat()
+    return [
+        ["stats", "--input", p["climate.gfs"], "--train-years", "2010-2012", "--output", p["stats.json"]],
+        ["normalize", "--input", p["climate.gfs"], "--stats", p["stats.json"], "--output", p["norm.gfs"]],
+        ["channels", "--input", p["climate.gfs"], "--stats", p["stats.json"], "--output", p["channels.gfs"]],
+        ["sample", "--input", p["channels.gfs"], "--date", "2013-06-01", "--tau", "45"],
+        ["persistence", "--input", p["climate.gfs"], "--date", "2013-06-01", "--output", p["a.csv"]],
+        ["persistence", "--input", p["climate.gfs"], "--date", "2013-06-02", "--output", p["b.csv"]],
+        ["bottleneck", p["a.csv"], p["b.csv"], "--dim", "1"],
+        ["fuse", "--inter", p["pred.gfs"], "--intra", p["truth.gfs"], "--lambda", p["lam.gfs"],
+         "--output", p["fused.gfs"]],
+        ["regularize", "--lambda", p["lam.gfs"], "--eta1", "1", "--eta2", "1", "--eta3", "1"],
+        ["losses", "--pred", p["pred.gfs"], "--truth", p["truth.gfs"], "--date", day, "--lambda", p["lam.gfs"],
+         "--eta1", "1", "--delta", "1"],
+        ["evaluate", "--pred", p["pred.gfs"], "--truth", p["truth.gfs"], "--clim", p["clim.gfs"],
+         "--stats", p["stats.json"], "--overlap", "--output", p["records.csv"], "--summary", p["summary.csv"]],
+        ["stratify", "--lambda", p["lam.gfs"], "--rmse", p["err.gfs"], "--date", day],
+    ]
+
+
+def test_import_leaves_scipy_ndimage_unloaded(tmp_path):
+    """Importing topofield, and running any command but ``synth``, loads no scipy module."""
+    argvs = command_argvs(tmp_path)
+    code = f"""import contextlib, io, json, sys
+import topofield
+from topofield.cli import run
+loaded = [["import", 0, {SCIPY_LOADED}]]
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run(argv)
+    loaded.append([argv[0], status, {SCIPY_LOADED}])
+print(json.dumps(loaded))
+"""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": src, "PATH": ""})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], input=json.dumps(argvs), capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src, "PATH": ""})
+    loaded = json.loads(out.stdout)
+    assert [name for name, _, _ in loaded] == ["import"] + [argv[0] for argv in argvs]
+    assert [(name, status, scipy) for name, status, scipy in loaded if status or scipy] == []
 
 
 # ---------------------------------------------------------------------------

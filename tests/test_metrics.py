@@ -244,6 +244,11 @@ class TestEvalRecord:
         with pytest.raises(FormatError):
             EvalRecord(dt.date(2020, 7, 1), 30, 2.0, 20.0, 0.9, 0.5, "DJF")
 
+    def test_negative_lead_time_rejected(self):
+        with pytest.raises(FormatError):
+            record(dt.date(2020, 7, 1), tau=-7)
+        assert record(dt.date(2020, 7, 1), tau=0).tau == 0
+
 
 class TestLambdaBins:
     def bins(self):
