@@ -35,6 +35,7 @@ from .order import vertex_ranks
 
 INF = math.inf
 _WINDOW_CHUNK = 1 << 16  # birth-window entries the bottleneck examines per block of rows
+_ROW_BLOCK = 128  # rows whose relevant edges the bottleneck builds at a time
 
 # Recorded in machine-readable outputs for provenance.
 FILTRATION_CONFIG = {
@@ -111,18 +112,43 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _elder_merges(n_nodes: int, ends_a: list[int], ends_b: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union-find sweep over edges listed in sweep order, by the elder rule.
 
     Node ids run from oldest (0) to youngest, and each component is rooted
     at its oldest node. When an edge joins two components, the younger root
     dies there. Returns the sweep index of every merging edge and the root
-    it kills.
+    it kills, in sweep order.
+
+    A node whose first edge leads to an older node is still alone when that
+    edge is swept, so it dies there. Those deaths are taken at once, and
+    pointer jumping contracts each such node into the label of its oldest
+    ancestor, which is in its component whenever a later edge touches it.
+    Edges inside one label, and repeats of a label pair, merge nothing; the
+    Python sweep runs over the rest.
     """
+    n_edges = ends_a.size
+    first = np.full(n_nodes, n_edges)  # each node's first edge, n_edges if it has none
+    np.minimum.at(first, np.concatenate([ends_a, ends_b]), np.tile(np.arange(n_edges), 2))
+    nodes = np.flatnonzero(first < n_edges)
+    other = ends_a[first[nodes]] + ends_b[first[nodes]] - nodes
+    dies = other < nodes  # a self-loop leads to no older node
+    label = np.arange(n_nodes)
+    label[nodes[dies]] = other[dies]
+    while True:
+        up = label[label]
+        if np.array_equal(up, label):
+            break
+        label = up
+    ends = label[ends_a], label[ends_b]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    rest = np.flatnonzero(lo != hi)
+    # the first edge of each label pair, in sweep order
+    rest = np.sort(rest[np.unique(lo[rest] * n_nodes + hi[rest], return_index=True)[1]])
     parent = list(range(n_nodes))
     steps: list[int] = []
     dead: list[int] = []
-    for k, (x, y) in enumerate(zip(ends_a, ends_b)):
+    for k, x, y in zip(rest.tolist(), lo[rest].tolist(), hi[rest].tolist()):
         while parent[x] != x:  # path halving
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -135,7 +161,9 @@ def _elder_merges(n_nodes: int, ends_a: list[int], ends_b: list[int]) -> tuple[n
             parent[y] = x
             steps.append(k)
             dead.append(y)
-    return np.array(steps, dtype=np.int64), np.array(dead, dtype=np.int64)
+    all_steps = np.concatenate([first[nodes[dies]], np.array(steps, dtype=np.int64)])
+    by_step = np.argsort(all_steps)
+    return all_steps[by_step], np.concatenate([nodes[dies], np.array(dead, dtype=np.int64)])[by_step]
 
 
 def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
@@ -144,7 +172,7 @@ def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
     order = np.argsort(edge_rank, kind="stable")
-    steps, dead = _elder_merges(rank.size, lo[order].tolist(), hi[order].tolist())
+    steps, dead = _elder_merges(rank.size, lo[order], hi[order])
     death = edge_rank[order[steps]]
     keep = dead != death
     alive = np.ones(rank.size, dtype=bool)
@@ -178,7 +206,7 @@ def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
     order = np.argsort(edge_rank, kind="stable")[::-1]
-    steps, dead = _elder_merges(n_sq + 1, face_a[order].tolist(), face_b[order].tolist())
+    steps, dead = _elder_merges(n_sq + 1, face_a[order], face_b[order])
     # list pairs in square order, as the reduction route does
     by_square = np.argsort(-dead)
     birth = edge_rank[order[steps[by_square]]]
@@ -330,13 +358,16 @@ def _saturates(rows, cols, dist, half: np.ndarray, n_cols: int, t: float) -> boo
     return _hopcroft_karp(degree.size, n_cols, adj) == degree.size
 
 
-def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray):
+@np.errstate(over="ignore")
+def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray, order: np.ndarray):
     """Rows (in order), columns and L-infinity distances d of the pairs with d < half_p[row].
 
-    Candidates are the inclusive birth windows, which rounding never narrows:
-    fl(|y - b|) < h means |y - b| < h exactly, so fl(b - h) <= y <= fl(b + h).
+    ``order`` is the stable birth order of q. Candidates are the inclusive
+    birth windows, which rounding never narrows: fl(|y - b|) < h means
+    |y - b| < h exactly, so fl(b - h) <= y <= fl(b + h). A window end or a
+    distance that overflows to inf keeps that true, and such a distance is
+    never relevant.
     """
-    order = np.argsort(q[:, 0], kind="stable").astype(np.int32)
     births = q[order, 0]
     start = np.searchsorted(births, p[:, 0] - half_p, "left")
     count = np.searchsorted(births, p[:, 0] + half_p, "right") - start
@@ -353,29 +384,58 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
+def _by_half(points: list) -> tuple[np.ndarray, np.ndarray]:
+    """Points as an (n, 2) array in descending half-persistence, and their halves.
+
+    A half is (death - birth) / 2, or death/2 - birth/2 where the difference
+    overflows.
+    """
+    arr = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
+    with np.errstate(over="ignore"):
+        span = arr[:, 1] - arr[:, 0]
+    half = np.where(np.isinf(span), arr[:, 1] / 2.0 - arr[:, 0] / 2.0, span / 2.0)
+    order = np.argsort(-half, kind="stable")
+    return arr[order], half[order]
+
+
 def _finite_bottleneck(a: list, b: list) -> float:
     if not a and not b:
         return 0.0
-    arr_a = np.asarray(a, dtype=np.float64).reshape(len(a), 2)
-    arr_b = np.asarray(b, dtype=np.float64).reshape(len(b), 2)
-    half_a = (arr_a[:, 1] - arr_a[:, 0]) / 2.0
-    half_b = (arr_b[:, 1] - arr_b[:, 0]) / 2.0
     # A point forced at t (half above t) can use an edge only if d <= t < its
     # half, and no point on the diagonal is within its half: each side needs
     # just its rows' relevant edges (d below the row's half), and feasibility
-    # changes only at a half or a relevant distance.
-    edges_a = _near_edges(arr_a, half_a, arr_b)
-    edges_b = _near_edges(arr_b, half_b, arr_a)
+    # changes only at a half or a relevant distance. Every point pays at least
+    # its half or its nearest relevant distance, and the largest payment lb
+    # bounds the optimum from below. Rows are visited by descending half, the
+    # side with the larger next half first, until that half is at most lb:
+    # such a row cannot raise lb, is never forced at t >= lb, and its
+    # distances lie below lb, so the search never needs its edges.
+    sides = [_by_half(a), _by_half(b)]
+    orders = [np.argsort(arr[:, 0], kind="stable").astype(np.int32) for arr, _ in sides]
+    empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+    edges = [[empty], [empty]]
+    seen = [0, 0]
+    lb = 0.0
+    while True:
+        heads = [half[n] if n < half.size else -INF for (_, half), n in zip(sides, seen)]
+        s = int(heads[1] > heads[0])
+        if not heads[s] > lb:
+            break
+        (p, half), r0 = sides[s], seen[s]
+        r1 = r0 + int(np.count_nonzero(half[r0:r0 + _ROW_BLOCK] > lb))
+        rows, cols, d = _near_edges(p[r0:r1], half[r0:r1], sides[1 - s][0], orders[1 - s])
+        pay = half[r0:r1].copy()
+        np.minimum.at(pay, rows, d)
+        lb = max(lb, pay.max())
+        edges[s].append((rows + r0, cols, d))
+        seen[s] = r1
+    edges_a, edges_b = (tuple(np.concatenate(x) for x in zip(*blocks)) for blocks in edges)
+    (_, half_a), (_, half_b) = sides
 
     def feasible(t: float) -> bool:
         # Mendelsohn-Dulmage: covers of each side's forced points merge into one matching
         return _saturates(*edges_a, half_a, half_b.size, t) and _saturates(*edges_b, half_b, half_a.size, t)
 
-    # every point pays at least its half or its nearest relevant distance
-    pay_a, pay_b = half_a.copy(), half_b.copy()
-    np.minimum.at(pay_a, edges_a[0], edges_a[2])
-    np.minimum.at(pay_b, edges_b[0], edges_b[2])
-    lb = max(pay_a.max(initial=0.0), pay_b.max(initial=0.0))
     levels = np.unique(np.concatenate((half_a, half_b, edges_a[2], edges_b[2])))
     levels = levels[np.searchsorted(levels, lb):]
     # the all-diagonal matching (the largest half) caps the optimum
@@ -396,8 +456,9 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
 
     Finite pairs match each other or their diagonal projection; essential
     pairs match by birth difference. Only relevant edges (pairs nearer than
-    the larger half-persistence) are built. The largest per-point lower bound
-    is tested first, then a binary search over the exact candidate costs.
+    the row's half-persistence) are built, and only for rows whose half lies
+    above the largest per-point lower bound. That bound is tested first,
+    then a binary search over the exact candidate costs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")

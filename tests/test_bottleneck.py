@@ -53,6 +53,19 @@ class TestExamples:
         assert bottleneck_distance(a, b) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_half_persistence_that_overflows_stays_finite():
+    # death - birth overflows; the half is death/2 - birth/2
+    wide = diagram([(-1e308, 1e308)], dim=1)
+    assert bottleneck_distance(wide, diagram([], dim=1)) == 1e308
+    # the L-infinity distance to this point overflows, so only the diagonal serves
+    far = diagram([(1e308, 1.5e308)], dim=1)
+    assert bottleneck_distance(wide, far) == bottleneck_distance(far, wide) == 1e308
+    # both halves overflow their difference; the direct match is finite and exact
+    near = diagram([(-1e308, 9e307)], dim=1)
+    assert bottleneck_distance(wide, near) == bottleneck_distance(near, wide) == 1e308 - 9e307
+
+
 class TestAgainstExhaustiveOracle:
     def test_small_random_diagrams(self):
         rng = np.random.default_rng(77)

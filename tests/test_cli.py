@@ -109,6 +109,17 @@ def test_bottleneck_matches_library(tmp_path, raw_stack, capsys):
     assert result["distance"] == want
 
 
+@pytest.mark.filterwarnings("error")
+def test_bottleneck_of_a_half_persistence_that_overflows(tmp_path, capsys):
+    wide, empty = tmp_path / "wide.csv", tmp_path / "empty.csv"
+    wide.write_text("dim,birth,death\n1,-1e308,1e308\n")
+    empty.write_text("dim,birth,death\n")
+    assert run(["bottleneck", str(wide), str(empty), "--dim", "1", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"dim": 1, "distance": 1e308}
+    assert err == ""
+
+
 def make_norm_stack(tmp_path, name, n=3, shape=(12, 14), seed=1, start=dt.date(2020, 1, 1)):
     rng = np.random.default_rng(seed)
     dates = tuple(start + dt.timedelta(days=k) for k in range(n))

@@ -82,6 +82,60 @@ def test_constant_strips_have_one_component_and_no_loops():
         assert sublevel_persistence(grid, 1).pairs == ()
 
 
+def plain_elder_merges(n_nodes: int, ends_a: list[int], ends_b: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep without contraction: path-halving union-find over every edge."""
+    parent = list(range(n_nodes))
+    steps: list[int] = []
+    dead: list[int] = []
+    for k, (x, y) in enumerate(zip(ends_a, ends_b)):
+        while parent[x] != x:  # path halving
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            steps.append(k)
+            dead.append(y)
+    return np.array(steps, dtype=np.int64), np.array(dead, dtype=np.int64)
+
+
+def test_contracted_sweep_matches_plain_union_find():
+    rng = np.random.default_rng(304)
+    contracted = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        # few edges leave nodes isolated; many give parallel edges
+        m = int(rng.integers(0, 3 * n))
+        a = rng.integers(0, n, size=m)
+        b = np.where(rng.random(m) < 0.2, a, rng.integers(0, n, size=m))  # self-loops
+        if m and rng.random() < 0.5:
+            a, b = np.concatenate([a, a[: m // 2]]), np.concatenate([b, b[: m // 2]])  # repeated pairs
+            shuffle = rng.permutation(a.size)  # an arbitrary sweep order
+            a, b = a[shuffle], b[shuffle]
+        want = plain_elder_merges(n, a.tolist(), b.tolist())
+        got = persistence._elder_merges(n, a, b)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (n, a, b)
+        first = {}
+        for x, y in zip(a.tolist(), b.tolist()):
+            first.setdefault(x, y)
+            first.setdefault(y, x)
+        contracted += sum(other < node for node, other in first.items())
+    assert contracted > 5000
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 9), (9, 2)])
+def test_thin_and_constant_grids_agree_with_reduction(shape):
+    rng = np.random.default_rng(305)
+    for grid in (np.zeros(shape), rng.integers(0, 3, size=shape).astype(float), rng.standard_normal(shape)):
+        for dim in (0, 1):
+            assert sublevel_persistence(grid, dim).pairs == sublevel_persistence_reduction(grid, dim).pairs, (grid, dim)
+
+
 def integer_diagram(rng, max_points: int) -> list[tuple[float, float]]:
     """Integer points, some on the diagonal: many costs tie exactly."""
     n = int(rng.integers(0, max_points + 1))
@@ -204,7 +258,7 @@ def test_near_edges_match_the_dense_relevant_set(monkeypatch):
             half = (p[:, 1] - p[:, 0]) / 2.0
             dist = np.maximum(np.abs(np.subtract.outer(p[:, 0], q[:, 0])), np.abs(np.subtract.outer(p[:, 1], q[:, 1])))
             want = {(i, j): dist[i, j] for i, j in zip(*np.nonzero(dist < half[:, None]))}
-            rows, cols, d = persistence._near_edges(p, half, q)
+            rows, cols, d = persistence._near_edges(p, half, q, np.argsort(q[:, 0], kind="stable").astype(np.int32))
             assert np.all(np.diff(rows) >= 0)
             assert dict(zip(zip(rows.tolist(), cols.tolist()), d.tolist())) == want
             on_window_end += sum(q[j, 0] in (p[i, 0] - half[i], p[i, 0] + half[i]) for i, j in want)
@@ -223,6 +277,99 @@ def test_bottleneck_matches_dense_search_on_rounding_and_tie_heavy_diagrams():
         b = integer_diagram(rng, 45)
         got = bottleneck_distance(PersistenceDiagram(1, tuple(a)), PersistenceDiagram(1, tuple(b)))
         assert got == dense_bottleneck(a, b), (a, b)
+
+
+def dense_lower_bound(a: list, b: list) -> float:
+    """The largest payment min(half, nearest distance below the half), from the full matrix."""
+    pa, pb = np.array(a, dtype=np.float64).reshape(-1, 2), np.array(b, dtype=np.float64).reshape(-1, 2)
+    dist = np.maximum(np.abs(np.subtract.outer(pa[:, 0], pb[:, 0])), np.abs(np.subtract.outer(pa[:, 1], pb[:, 1])))
+    lb = 0.0
+    for pts, d in ((pa, dist), (pb, dist.T)):
+        half = (pts[:, 1] - pts[:, 0]) / 2.0
+        near = np.where(d < half[:, None], d, np.inf).min(axis=1, initial=np.inf)
+        lb = max(lb, np.minimum(half, near).max(initial=0.0))
+    return lb
+
+
+def spy_rows(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Record the halves and the column side of every block handed to _near_edges."""
+    calls = []
+    near_edges = persistence._near_edges
+
+    def spy(p, half_p, q, order):
+        calls.append((half_p.copy(), q))
+        return near_edges(p, half_p, q, order)
+
+    monkeypatch.setattr(persistence, "_near_edges", spy)
+    return calls
+
+
+def pruned_distance(a: list, b: list) -> float:
+    return bottleneck_distance(PersistenceDiagram(1, tuple(a)), PersistenceDiagram(1, tuple(b)))
+
+
+def test_row_with_half_equal_to_the_lower_bound_is_pruned(monkeypatch):
+    monkeypatch.setattr(persistence, "_ROW_BLOCK", 1)
+    calls = spy_rows(monkeypatch)
+    # (0, 4) and (0, 3) pay their distance 1 = lb; (5, 7) has half exactly 1
+    a, b = [(0.0, 4.0), (5.0, 7.0)], [(0.0, 3.0)]
+    assert dense_lower_bound(a, b) == 1.0
+    assert pruned_distance(a, b) == dense_bottleneck(a, b) == exhaustive_bottleneck(a, b) == 1.0
+    assert sorted(h for half, _ in calls for h in half.tolist()) == [1.5, 2.0]
+
+
+def test_single_unpruned_row(monkeypatch):
+    monkeypatch.setattr(persistence, "_ROW_BLOCK", 1)
+    calls = spy_rows(monkeypatch)
+    # (0, 4) has no relevant edge, so it pays its half 2, above every other half
+    a, b = [(0.0, 4.0), (0.0, 1.0), (1.0, 2.0)], [(0.5, 1.5), (2.0, 2.5)]
+    assert pruned_distance(a, b) == dense_bottleneck(a, b) == exhaustive_bottleneck(a, b) == 2.0
+    assert [half.tolist() for half, _ in calls] == [[2.0]]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 128])
+def test_pruned_search_matches_dense_and_exhaustive(monkeypatch, block):
+    monkeypatch.setattr(persistence, "_ROW_BLOCK", block)
+    calls = spy_rows(monkeypatch)
+    rng = np.random.default_rng(306)
+    misses = split_ties = one_sided = 0
+    for k in range(300):
+        a, b = integer_diagram(rng, 8), integer_diagram(rng, 8)
+        if k % 10 == 0:
+            b = []
+        calls.clear()
+        got = pruned_distance(a, b)
+        want = dense_bottleneck(a, b)
+        assert got == want, (a, b)
+        if len(a) + len(b) <= 9:
+            assert got == exhaustive_bottleneck(a, b), (a, b)
+        misses += got > dense_lower_bound(a, b)
+        one_sided += not b and any(y > x for x, y in a)
+        # a block that ends between two equal halves of one side
+        last = {}
+        for half, q in calls:
+            split_ties += last.get(id(q)) == half[0]
+            last[id(q)] = half[-1]
+    # measured: 22 misses of the lower bound, 49 one-sided pairs, 156/41/10 split ties
+    assert misses >= 15 and one_sided >= 30
+    assert split_ties >= (5 if block < 128 else 0)
+
+
+def test_bottleneck_enumerates_rows_above_the_lower_bound_only(monkeypatch):
+    truth = small_rough_field((60, 120))
+    noise = np.random.default_rng(1).standard_normal(truth.shape)
+    pred = np.clip(truth + 0.02 * noise, 0.0, 1.0)
+    a, b = sublevel_persistence(truth, 1), sublevel_persistence(pred, 1)
+    n_a, n_b = len(a.finite_pairs), len(b.finite_pairs)
+    assert n_a != n_b
+    calls = spy_rows(monkeypatch)
+    bottleneck_distance(a, b)
+    # a side's rows are handed with the other side as columns
+    rows_a = sum(half.size for half, q in calls if len(q) == n_b)
+    rows_b = sum(half.size for half, q in calls if len(q) == n_a)
+    # measured: 247 of 721 and 151 of 729 rows
+    assert rows_a < 0.4 * n_a and rows_b < 0.4 * n_b, (rows_a, n_a, rows_b, n_b)
+    assert rows_a + rows_b < 0.3 * (n_a + n_b)
 
 
 # ---------------------------------------------------------------------------
