@@ -9,6 +9,7 @@ Normalization maps training-percentile bounds onto [0, 1] with clipping.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -179,8 +180,11 @@ class NormStats:
     def __post_init__(self):
         if not (np.isfinite(self.p1) and np.isfinite(self.p99)):
             raise DegenerateStats("non-finite percentile bounds")
-        if self.p99 - self.p1 < DEGENERATE_SPAN:
-            raise DegenerateStats(f"p99 - p1 = {self.p99 - self.p1!r} is below {DEGENERATE_SPAN}")
+        span = float(self.p99) - float(self.p1)
+        if span < DEGENERATE_SPAN:
+            raise DegenerateStats(f"p99 - p1 = {span!r} is below {DEGENERATE_SPAN}")
+        if span == math.inf:
+            raise DegenerateStats(f"p99 - p1 overflows for p1 = {self.p1!r}, p99 = {self.p99!r}")
 
     @property
     def span(self) -> float:

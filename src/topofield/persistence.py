@@ -60,6 +60,8 @@ class PersistenceDiagram:
         for b, d in self.pairs:
             b = float(b)
             d = float(d)
+            if not math.isfinite(b):
+                raise FormatError(f"birth {b!r} is not finite")
             if not d >= b:
                 raise FormatError(f"death {d!r} precedes birth {b!r}")
             clean.append((b, d))

@@ -387,6 +387,19 @@ def test_bad_stats_file_is_exit_1(tmp_path, raw_stack, content, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_stats_whose_span_overflows_are_degenerate(tmp_path, capsys):
+    pred = make_norm_stack(tmp_path, "p.gfs", n=2, seed=8)
+    truth = make_norm_stack(tmp_path, "t.gfs", n=2, seed=9)
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"p1": -1e308, "p99": 1e308}))
+    assert run(["evaluate", "--pred", str(pred), "--truth", str(truth), "--clim", str(truth),
+                "--stats", str(stats), "--tau", "45", "--overlap"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error [degenerate_stats]: p99 - p1 overflows") and err.count("\n") == 1
+
+
 def test_bad_scores_file_is_exit_1(tmp_path, capsys):
     pred = make_norm_stack(tmp_path, "p.gfs", n=1, seed=8)
     truth = make_norm_stack(tmp_path, "t.gfs", n=1, seed=9)

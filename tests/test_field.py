@@ -140,6 +140,13 @@ class TestComputeNormStats:
         with pytest.raises(DegenerateStats):
             compute_norm_stats(stack, SplitSpec(frozenset({2015})))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p1, p99", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
+    def test_span_that_overflows_is_degenerate(self, p1, p99):
+        with pytest.raises(DegenerateStats, match="p99 - p1 overflows"):
+            NormStats(p1, p99)
+        assert NormStats(-8e307, 8e307).span == 1.6e308
+
     def test_only_test_years_is_empty(self):
         stack = stack_of([(dt.date(2020, 1, 1), np.arange(9.0).reshape(3, 3))])
         with pytest.raises(EmptyTrainingSet):

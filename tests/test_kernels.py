@@ -39,7 +39,7 @@ from topofield import (
 )
 from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
-from topofield.metrics import _SSIM_KERNEL, _kde, _local_mean
+from topofield.metrics import _KDE_EXP_ZERO, _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
 from topofield.field import _CHUNK_CELLS
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
@@ -676,6 +676,141 @@ def test_kde_stays_under_its_memory_budget():
     assert 0.0 < overlap < 1.0 and 0.0 < tail
     # the one-shot evaluation needs 2048 x 8000 x 8 B = 131 MB per temporary
     assert peak < 8e6, peak
+
+
+def one_shot_terms(samples, h, grid):
+    """Every kernel term ``exp((-0.5 * z) * z)`` as one (grid points x samples) matrix."""
+    z = (grid[:, None] - samples[None, :]) / h
+    return np.exp(-0.5 * z * z)
+
+
+def one_shot_kde(samples, h, grid):
+    return one_shot_terms(samples, h, grid).sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
+
+
+def far_kinds(terms) -> set[str]:
+    """Which kinds of slow cell the terms hold: terms that underflow to 0.0,
+    subnormal terms, and rows whose whole sum is subnormal (where every
+    subnormal term changes the density)."""
+    tiny = np.finfo(np.float64).tiny
+    sums = terms.sum(axis=1)
+    kinds = {"zero": (terms == 0.0).any(), "subnormal": ((terms > 0.0) & (terms < tiny)).any(),
+             "subnormal_sum": ((sums > 0.0) & (sums < tiny)).any()}
+    return {kind for kind, present in kinds.items() if present}
+
+
+def two_clusters(rng, n, h):
+    """Two clusters 60 bandwidths apart bridged by spread-out samples, so that
+    every distance up to 80 bandwidths occurs between a sample and the grid."""
+    k = n // 10
+    parts = (rng.normal(0.0, 2.0 * h, (n - k) // 2), rng.normal(60.0 * h, 2.0 * h, n - k - (n - k) // 2),
+             rng.uniform(-10.0 * h, 70.0 * h, k))
+    return rng.permutation(np.concatenate(parts))
+
+
+@pytest.mark.parametrize("n, points", [(7, 2048), (1000, 2048), (70_000, 40)])
+def test_kde_with_slow_cells_equals_one_shot_sum(n, points):
+    # blocks of 2048, 65 and 1 grid points; the slow cells are set to 0 for the
+    # block's exp and evaluated apart, which must not change a single bit
+    rng = np.random.default_rng(57)
+    h = 0.05
+    samples = two_clusters(rng, n, h)
+    # two points 38 bandwidths beyond the samples, where every term is subnormal
+    edges = [samples.min() - 38.0 * h, samples.max() + 38.2 * h]
+    grid = np.sort(np.concatenate((np.linspace(-60.0 * h, 130.0 * h, points - 2), edges)))
+    terms = one_shot_terms(samples, h, grid)
+    assert far_kinds(terms) == {"zero", "subnormal", "subnormal_sum"}
+    want = terms.sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
+    assert _kde(samples, h, grid).tobytes() == want.tobytes()
+
+
+def test_block_exp_stays_on_its_fast_path(monkeypatch):
+    from topofield import metrics
+
+    class ExpSpy:
+        """numpy, with each ``exp`` call's smallest argument recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, **kwargs):
+            calls.append(("block" if "out" in kwargs else "slow", float(x.min(initial=0.0))))
+            return np.exp(x, **kwargs)
+
+    calls = []
+    monkeypatch.setattr(metrics, "np", ExpSpy())
+    rng = np.random.default_rng(61)
+    for n, points in ((1000, 2048), (70_000, 40)):  # 65 grid points a block, and one
+        samples = two_clusters(rng, n, 0.05)
+        _kde(samples, 0.05, np.linspace(-3.0, 6.5, points))
+    block = [m for kind, m in calls if kind == "block"]
+    slow = [m for kind, m in calls if kind == "slow"]
+    assert len(block) == 32 + 40 and min(block) >= -707.7
+    assert slow and min(slow) >= _KDE_EXP_ZERO and min(slow) < -707.7
+
+
+def test_kde_with_slow_cells_equals_one_shot_sum_on_random_mixtures():
+    rng = np.random.default_rng(58)
+    for _ in range(40):
+        n = int(rng.integers(2, 400))
+        h = float(rng.uniform(0.01, 1.0))
+        samples = two_clusters(rng, n, h) + rng.uniform(-5.0, 5.0)
+        grid = np.linspace(samples.min() - 45.0 * h, samples.max() + 45.0 * h, int(rng.integers(1, 600)))
+        assert _kde(samples, h, grid).tobytes() == one_shot_kde(samples, h, grid).tobytes()
+
+
+def outlier_heavy(rng, n, centre):
+    """A tight cluster holding 85 % of the samples, the rest spread 100 sds to
+    one side: the bandwidth follows the cluster, so the outliers' terms underflow."""
+    k = 15 * n // 100
+    return rng.permutation(np.concatenate((rng.normal(centre, 1.0, n - k), rng.uniform(centre, centre + 100.0, k))))
+
+
+@pytest.mark.parametrize("side", ["below_p5", "above_p95"])
+def test_tail_overlap_with_slow_cells_equals_one_shot(side):
+    # the clusters lie about 50 bandwidths apart, so each tail grid reaches
+    # points where one density is a sum of subnormal terms
+    rng = np.random.default_rng(59)
+    p, q = outlier_heavy(rng, 1200, 0.0), outlier_heavy(rng, 1100, 12.0)
+    grid, dens_p, dens_q = _kde_pair(p, q, side)
+    want, kinds = [], set()
+    for samples, dens in ((p, dens_p), (q, dens_q)):
+        h = _bandwidth(samples)
+        terms = one_shot_terms(samples, h, grid)
+        kinds |= far_kinds(terms)
+        want.append(terms.sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi)))
+        assert dens.tobytes() == want[-1].tobytes()
+    assert kinds == {"zero", "subnormal", "subnormal_sum"}
+    tail = float(np.trapezoid(np.minimum(*want), grid) / np.trapezoid(want[1], grid))
+    assert tail_overlap(p, q, side) == tail
+
+
+def test_evaluate_overlaps_with_slow_cells_do_not_depend_on_threads():
+    rng = np.random.default_rng(60)
+    n, shape = 6, (16, 18)
+    # a tight band of cells near 0.3 with 15 % spread over [0.3, 0.7]: most
+    # terms of the spread cells underflow
+    truth = np.stack([outlier_heavy(rng, shape[0] * shape[1], 0.0).reshape(shape) for _ in range(n)])
+    truth = 0.3 + 0.004 * truth
+    pred = np.clip(truth + rng.normal(0.0, 0.002, truth.shape), 0.0, 1.0)
+    clim = np.full_like(truth, 0.5)
+    dates = tuple(dt.date(2003, 6, 1) + dt.timedelta(days=k) for k in range(n))
+    t0 = denormalize(ScalarField(truth[0]), STATS).values.ravel()
+    grid = _kde_pair(t0, t0)[0]
+    assert {"zero", "subnormal"} <= far_kinds(one_shot_terms(t0, _bandwidth(t0), grid))
+    one = evaluate_stack(pred, truth, clim, STATS, dates, 45, with_overlap=True, threads=1)
+    two = evaluate_stack(pred, truth, clim, STATS, dates, 45, with_overlap=True, threads=2)
+    assert one == two
+    assert one == per_date(pred, truth, clim, dates, True)
+
+
+def test_exp_is_exactly_zero_below_the_zero_constant():
+    # premise of setting the slow cells below _KDE_EXP_ZERO to 0.0 without a call
+    sweep = np.linspace(_KDE_EXP_ZERO, 2.0 * _KDE_EXP_ZERO, 1_000_001)
+    assert sweep.max() == _KDE_EXP_ZERO
+    assert not np.exp(sweep).any()
+    assert np.exp(np.nextafter(-745.13, 0.0)) > 0.0  # the smallest subnormal survives above -745.13
 
 
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"

@@ -126,6 +126,33 @@ class TestKdeOverlap:
         with pytest.raises(DegenerateSample):
             kde_overlap(np.zeros(10), np.arange(10.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wide", [[-1e308, 1e308, 0.0], [-1e200, 0.0, 1e200]])
+    def test_overflowing_sd_is_degenerate(self, wide):
+        with pytest.raises(DegenerateSample, match="standard deviation overflows"):
+            kde_overlap(wide, [0.0, 1.0, 2.0])
+        with pytest.raises(DegenerateSample, match="standard deviation overflows"):
+            kde_overlap([0.0, 1.0, 2.0], wide)
+        for side in ("below_p5", "above_p95"):
+            with pytest.raises(DegenerateSample, match="standard deviation overflows"):
+                tail_overlap(wide, [0.0, 1.0, 2.0], side)
+
+    @pytest.mark.filterwarnings("error")
+    def test_distance_of_more_than_the_largest_float_of_bandwidths_is_a_zero_term(self):
+        # the tight cluster sets a bandwidth near 1e-162, so grid points 7.5 or
+        # more away lie past the largest float of its bandwidths
+        p = np.concatenate([np.linspace(0.0, 1e-160, 100), [1e150]])
+        assert kde_overlap(p, np.arange(10.0)) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_bandwidth_that_underflows_to_zero_is_degenerate(self):
+        # the IQR is the smallest subnormal, and 0.9 * IQR/1.34 * n^-0.2 rounds to 0
+        tiny = np.array([0.0] * 50 + [5e-324] * 50 + [1.0])
+        with pytest.raises(DegenerateSample, match="bandwidth 0.0"):
+            kde_overlap(tiny, np.arange(10.0))
+        with pytest.raises(DegenerateSample, match="bandwidth 0.0"):
+            tail_overlap(np.arange(10.0), tiny, "below_p5")
+
 
 class TestTailOverlap:
     def test_identical_samples_high_overlap(self):

@@ -139,6 +139,15 @@ class TestStability:
                 assert d <= bound
 
 
+class TestDiagramPairs:
+    @pytest.mark.parametrize("birth", [-INF, INF, math.nan])
+    def test_non_finite_birth_is_rejected(self, birth):
+        with pytest.raises(FormatError, match="birth .* is not finite"):
+            PersistenceDiagram(1, ((0.0, 1.0), (birth, 0.0)))
+        with pytest.raises(FormatError, match="birth .* is not finite"):
+            PersistenceDiagram(0, ((birth, INF),))
+
+
 class TestFilter:
     def test_zero_threshold_is_identity(self):
         pd = PersistenceDiagram(0, ((0.0, 2.0), (1.0, 1.05), (0.5, INF)))
