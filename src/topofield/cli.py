@@ -28,7 +28,7 @@ from .field import (
     denormalized,
     normalize_stack,
 )
-from .fusion import LambdaMap, RegWeights, add_residual, blend, entropy_term, l_reg, mean_balance, tv
+from .fusion import RegWeights, _regularizer, add_residual, blend
 from .losses import GateSchedule, LossWeights, content_loss, hinge_d, hinge_g, loss_report, topo_loss
 from .metrics import (
     BinSpec,
@@ -258,9 +258,8 @@ def _cmd_persistence(args) -> dict:
     if args.stats:
         stack = normalize_stack(stack, _load_stats(args.stats))
     idx = _pick_date(stack, args.date, "input stack")
-    field = stack.field(idx, 0)
     dims = [args.dim] if args.dim is not None else [0, 1]
-    diagrams = [sublevel_persistence(field, d) for d in dims]
+    diagrams = [sublevel_persistence(stack.values[idx, 0], d) for d in dims]
     if args.min_persistence > 0:
         diagrams = [filter_by_persistence(pd, args.min_persistence) for pd in diagrams]
     if args.output:
@@ -297,7 +296,7 @@ def _cmd_sample(args) -> dict:
         dates = list(stack.dates)
         made = 0
         attempts = 0
-        while made < args.count and attempts < args.count * 200:
+        while dates and made < args.count and attempts < args.count * 200:
             attempts += 1
             t = dates[int(rng.integers(0, len(dates)))]
             tau = taus[made]
@@ -347,18 +346,11 @@ def _cmd_fuse(args) -> dict:
 def _cmd_regularize(args) -> dict:
     lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
     weights = RegWeights(args.eta1, args.eta2, args.eta3, args.target)
-    per_date = []
-    for i, date in enumerate(lam_stack.dates):
-        lam = LambdaMap.of(lam_stack.field(i))
-        per_date.append(
-            {
-                "date": date,
-                "tv": tv(lam.level1),
-                "entropy": entropy_term(lam.level1),
-                "mean_balance": mean_balance(lam.level1, args.target),
-                "l_reg": l_reg(lam, weights),
-            }
-        )
+    terms = (x.tolist() for x in _regularizer(lam_stack.values[:, 0], weights))
+    per_date = [
+        {"date": date, "tv": t, "entropy": e, "mean_balance": m, "l_reg": r}
+        for date, t, e, m, r in zip(lam_stack.dates, *terms)
+    ]
     return {
         "eta": [args.eta1, args.eta2, args.eta3],
         "lambda_target": args.target,
@@ -371,7 +363,7 @@ def _cmd_losses(args) -> dict:
     truth = _single_channel(gfs.read_stack(args.truth), "--truth")
     pi = _pick_date(pred, args.date, "--pred")
     ti = _pick_date(truth, args.date, "--truth")
-    p, t = pred.field(pi), truth.field(ti)
+    p, t = pred.values[pi, 0], truth.values[ti, 0]
     content = content_loss(p, t)
     topo = topo_loss(t, p)
     adv = hinge_g(_scores_from_json(args.fake_scores)) if args.fake_scores else 0.0
@@ -379,7 +371,8 @@ def _cmd_losses(args) -> dict:
     if args.lam:
         lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
         li = _pick_date(lam_stack, args.date, "--lambda")
-        reg = l_reg(LambdaMap.of(lam_stack.field(li)), RegWeights(args.eta1, args.eta2, args.eta3, args.target))
+        reg_weights = RegWeights(args.eta1, args.eta2, args.eta3, args.target)
+        reg = _regularizer(lam_stack.values[li : li + 1, 0], reg_weights)[3].item()
     weights = LossWeights(args.alpha, args.beta, args.gamma, args.delta)
     gate = GateSchedule(args.warmup, args.every)
     report = loss_report(content, adv, reg, topo, weights, args.step, gate)
@@ -426,7 +419,7 @@ def _cmd_stratify(args) -> dict:
     li = _pick_date(lam_stack, args.date, "--lambda")
     ri = _pick_date(rmse_stack, args.date, "--rmse")
     bins = BinSpec(args.bins)
-    row = lambda_bin_analysis(lam_stack.field(li), rmse_stack.field(ri), bins, season=args.season)
+    row = lambda_bin_analysis(lam_stack.values[li, 0], rmse_stack.values[ri, 0], bins, season=args.season)
     labels = bins.labels
     if args.output:
         header = ["season"] + [f"median_{l}" for l in labels] + ["delta"] + [f"n_{l}" for l in labels]

@@ -84,14 +84,6 @@ class ScalarField:
         object.__setattr__(self, "values", _frozen(arr))
 
     @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
@@ -162,12 +154,6 @@ class FieldStack:
 
     def field(self, i: int, channel: int = 0) -> ScalarField:
         return ScalarField(self.values[i, channel])
-
-    def field_at(self, date: dt.date, channel: int = 0) -> ScalarField:
-        idx = self.index_of(date)
-        if idx is None:
-            raise KeyError(date)
-        return self.field(idx, channel)
 
 
 @dataclass(frozen=True)

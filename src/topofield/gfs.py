@@ -35,7 +35,10 @@ def date_to_days(date: dt.date) -> int:
 
 
 def days_to_date(days: int) -> dt.date:
-    return dt.date.fromordinal(int(days) + _EPOCH)
+    try:
+        return dt.date.fromordinal(int(days) + _EPOCH)
+    except (OverflowError, ValueError):  # outside date.min..date.max
+        raise FormatError(f"day count {days} lies outside the calendar") from None
 
 
 def write_stack(stack: FieldStack, path) -> None:

@@ -43,6 +43,17 @@ class CriticalPoint:
     value: float
 
 
+def _check_codes(t: np.ndarray, c: np.ndarray) -> None:
+    """Reject T values off the code set, then C values off {0, 1}, in grids of any stack shape."""
+    # tolerance admits float32 storage of the thirds
+    codes = np.array([T_REGULAR, T_MAXIMUM, T_MINIMUM, T_SADDLE])
+    dist = np.abs(t[..., None] - codes).min(axis=-1)
+    if dist.max() > 1e-6:
+        raise FormatError("T channel contains values outside the code set")
+    if not set(np.unique(c)) <= {0.0, 1.0}:
+        raise FormatError("C channel must be a {0,1} mask")
+
+
 @dataclass(frozen=True)
 class StructuralChannels:
     """Critical-point type map T, value map V, and contour mask C."""
@@ -54,13 +65,7 @@ class StructuralChannels:
     def __post_init__(self):
         if not (self.t.shape == self.v.shape == self.c.shape):
             raise FormatError("structural channels must share one grid shape")
-        # tolerance admits float32 storage of the thirds
-        codes = np.array([T_REGULAR, T_MAXIMUM, T_MINIMUM, T_SADDLE])
-        dist = np.abs(self.t.values[..., None] - codes).min(axis=-1)
-        if dist.max() > 1e-6:
-            raise FormatError("T channel contains values outside the code set")
-        if not set(np.unique(self.c.values)) <= {0.0, 1.0}:
-            raise FormatError("C channel must be a {0,1} mask")
+        _check_codes(self.t.values, self.c.values)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     MissingDayOfYear,
 )
 from .field import FieldStack, ScalarField, SplitSpec
-from .structural import MultiChannelField, StructuralChannels
+from .structural import _check_codes
 
 TAU_MIN = 30
 TAU_MAX = 90
@@ -50,8 +50,8 @@ class DualSample:
     tau: LeadTime
     inter_dates: tuple[dt.date, dt.date, dt.date]
     intra_dates: tuple[dt.date, dt.date, dt.date]
-    inter_inputs: tuple[MultiChannelField, ...]
-    intra_inputs: tuple[MultiChannelField, ...]
+    inter_inputs: np.ndarray  # read-only (3, 4, h, w): [SF, T, V, C] of each input date
+    intra_inputs: np.ndarray
     target: ScalarField
 
     def __post_init__(self):
@@ -100,26 +100,22 @@ def intra_dates(t: dt.date, tau: LeadTime, start: dt.date | None = None):
     return out
 
 
-def _multi_at(stack: FieldStack, idx: int) -> MultiChannelField:
-    sf = stack.field(idx, 0)
-    channels = StructuralChannels(stack.field(idx, 1), stack.field(idx, 2), stack.field(idx, 3))
-    return MultiChannelField(sf, channels)
-
-
 def build_sample(stack: FieldStack, t: dt.date, tau: LeadTime) -> DualSample:
     """Assemble a DualSample from a 4-channel stack; the target is SF at t."""
     if stack.channels != 4:
         raise FormatError(f"sample construction needs a 4-channel stack, got {stack.channels}")
     inter = tuple(interannual_dates(t))
     intra = tuple(intra_dates(t, tau))
-    needed = list(inter) + list(intra) + [t]
-    missing = [d for d in needed if stack.index_of(d) is None]
+    needed = inter + intra + (t,)
+    idx = [stack.index_of(d) for d in needed]
+    missing = [d for d, i in zip(needed, idx) if i is None]
     if missing:
         raise MissingDate(missing)
-    inter_inputs = tuple(_multi_at(stack, stack.index_of(d)) for d in inter)
-    intra_inputs = tuple(_multi_at(stack, stack.index_of(d)) for d in intra)
-    target = stack.field_at(t, channel=0)
-    return DualSample(t, tau, inter, intra, inter_inputs, intra_inputs, target)
+    target = stack.field(idx[6], 0)
+    inputs = stack.values[idx[:6]]
+    _check_codes(inputs[:, 1], inputs[:, 3])
+    inputs.setflags(write=False)
+    return DualSample(t, tau, inter, intra, inputs[:3], inputs[3:], target)
 
 
 def validate_split(sample: DualSample, split: SplitSpec, role: str) -> bool:

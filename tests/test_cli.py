@@ -10,14 +10,19 @@ from topofield import (
     FieldStack,
     LambdaMap,
     NormStats,
+    RegWeights,
     apply_residual,
     bottleneck_distance,
     denormalize,
+    entropy_term,
     fuse,
+    l_reg,
     make_eval_record,
+    mean_balance,
     read_diagram_csv,
     stack_to_bytes,
     sublevel_persistence,
+    tv,
 )
 from topofield.cli import run
 from topofield.errors import OutOfRange
@@ -720,3 +725,80 @@ def test_evaluate_is_thread_count_independent_and_matches_records(tmp_path, caps
     lines = outputs[0][1].decode().splitlines()
     assert lines[18] == f"{dates[17].isoformat()},30,{rows[17]['season']}," + ",".join(
         format(rows[17][k], ".17g") for k in ("rmse", "psnr", "ssim", "acc", "overlap"))
+
+
+def test_regularize_rows_equal_the_one_map_terms_bit_for_bit(tmp_path, capsys):
+    path = make_norm_stack(tmp_path, "lam.gfs", n=6, seed=50)
+    stack = read_stack(path)
+    values = stack.values.copy()
+    values[2] = np.where(values[2] < 0.5, 0.0, 1.0)  # exact 0 and 1 weights
+    write_stack(FieldStack(stack.dates, values), path)
+    stack = read_stack(path)
+    weights = RegWeights(0.7, 1.3, 2.9, 0.35)
+    argv = ["regularize", "--lambda", str(path), "--eta1", "0.7", "--eta2", "1.3", "--eta3", "2.9", "--target", "0.35"]
+    assert run(argv + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["maps"]
+    assert len(rows) == len(stack)
+    for i, row in enumerate(rows):
+        m = stack.values[i, 0]
+        assert row == {"date": stack.dates[i].isoformat(), "tv": tv(m), "entropy": entropy_term(m),
+                       "mean_balance": mean_balance(m, 0.35), "l_reg": l_reg(LambdaMap.of(m), weights)}
+    assert run(argv) == 0
+    keys = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()]
+    assert keys[2:8] == ["maps", "date", "tv", "entropy", "mean_balance", "l_reg"]
+
+
+def test_regularize_of_an_empty_lambda_stack_has_no_rows(tmp_path, capsys):
+    write_stack(FieldStack((), np.zeros((0, 1, 3, 4))), tmp_path / "lam.gfs")
+    assert run(["regularize", "--lambda", str(tmp_path / "lam.gfs"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["maps"] == []
+
+
+def test_sample_count_on_a_stack_without_dates_is_exit_1(tmp_path, capsys):
+    write_stack(FieldStack((), np.zeros((0, 4, 3, 4))), tmp_path / "x.gfs")
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--count", "3"]) == 1
+    assert capsys.readouterr().err == "error [format_error]: only 0 of 3 samples constructible from this stack\n"
+
+
+def _sample_stack(path, bad_date, channel):
+    """[SF, T, V, C] grids on the dates a 2013-06-01 sample at tau 45 reads, with one 0.5 in ``channel``
+    on ``bad_date`` and valid T codes and C masks elsewhere."""
+    t = dt.date(2013, 6, 1)
+    dates = sorted([dt.date(y, 6, 1) for y in (2010, 2011, 2012)] + [t - dt.timedelta(days=k) for k in (135, 90, 45, 0)])
+    values = np.zeros((len(dates), 4, 4, 5))
+    values[:, 0] = np.random.default_rng(51).uniform(0.0, 1.0, (len(dates), 4, 5))
+    values[dates.index(bad_date), channel, 2, 3] = 0.5
+    write_stack(FieldStack(tuple(dates), values), path)
+
+
+@pytest.mark.parametrize("channel,message", [
+    (1, "T channel contains values outside the code set"),
+    (3, "C channel must be a {0,1} mask"),
+])
+@pytest.mark.parametrize("bad_date", [dt.date(2010, 6, 1), dt.date(2013, 4, 17)])
+def test_sample_rejects_bad_structural_codes_on_an_input_date(tmp_path, channel, message, bad_date, capsys):
+    _sample_stack(tmp_path / "x.gfs", bad_date, channel)
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--date", "2013-06-01", "--tau", "45"]) == 1
+    assert capsys.readouterr().err == f"error [format_error]: {message}\n"
+
+
+@pytest.mark.parametrize("channel", [1, 3])
+def test_sample_reads_only_sf_on_the_target_date(tmp_path, channel, capsys):
+    _sample_stack(tmp_path / "x.gfs", dt.date(2013, 6, 1), channel)
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--date", "2013-06-01", "--tau", "45"]) == 0
+
+
+@pytest.mark.parametrize("days", [2**62, -10**7])
+def test_gfs_date_outside_the_calendar_is_exit_1(tmp_path, days):
+    raw = bytearray(stack_to_bytes(FieldStack((dt.date(2020, 1, 1),), np.full((1, 1, 3, 4), 280.0))))
+    raw[20:28] = np.int64(days).tobytes()  # the one date follows the 20-byte header
+    (tmp_path / "x.gfs").write_bytes(bytes(raw))
+    (tmp_path / "stats.json").write_text(json.dumps({"p1": 260.0, "p99": 300.0}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "topofield", "normalize", "--input", str(tmp_path / "x.gfs"),
+         "--stats", str(tmp_path / "stats.json"), "--output", str(tmp_path / "out.gfs")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error [format_error]: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

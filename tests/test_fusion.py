@@ -229,3 +229,29 @@ class TestLambdaMap:
         coarse = ScalarField(np.full((2, 2), 0.5))
         lam = LambdaMap((fine, coarse))
         assert lam.level1.shape == (4, 4)
+
+
+def one_map_terms(vals, target):
+    """The one-map formulas of TV, entropy and mean balance, in plain numpy scalars."""
+    d_col = np.abs(vals[:, 1:] - vals[:, :-1])
+    d_row = np.abs(vals[1:, :] - vals[:-1, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(vals > 0.0, vals * np.log(vals), 0.0)
+        h -= np.where(vals < 1.0, (1.0 - vals) * np.log(1.0 - vals), 0.0)
+    return (float((d_col.sum() + d_row.sum()) / (d_col.size + d_row.size)), float(h.mean()),
+            float((vals.mean() - target) ** 2))
+
+
+def test_regularizer_views_equal_the_one_map_formulas_bit_for_bit():
+    rng = np.random.default_rng(10)
+    shapes = [(2, 2), (101, 237)] + [tuple(rng.integers(2, 12, 2)) for _ in range(1500)]
+    for k, shape in enumerate(shapes):
+        vals = rng.uniform(0.0, 1.0, shape)
+        if k % 3 == 1:
+            vals = rng.choice([0.0, 0.5, 1.0], shape)  # saturated weights
+        elif k % 3 == 2:
+            vals = vals.astype(np.float32).astype(np.float64)  # as a GFS file stores them
+        w = RegWeights(*rng.uniform(0.0, 3.0, 3), float(rng.uniform(0.0, 1.0)))
+        t, e, m = one_map_terms(vals, w.lambda_target)
+        assert (tv(vals), entropy_term(vals), mean_balance(vals, w.lambda_target)) == (t, e, m), shape
+        assert l_reg(LambdaMap.of(vals), w) == w.eta1 * t - w.eta2 * e + w.eta3 * m, shape

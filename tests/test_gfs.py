@@ -79,3 +79,17 @@ def test_file_round_trip(tmp_path):
     back = read_stack(path)
     assert back.dates == stack.dates
     assert np.array_equal(back.values, stack.values.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("days", [2**62, -10**7, 2**63 - 1, -2**63,
+                                  date_to_days(dt.date.min) - 1, date_to_days(dt.date.max) + 1])
+def test_day_count_outside_the_calendar_rejected(days):
+    raw = bytearray(stack_to_bytes(tiny_stack()))
+    raw[20:28] = struct.pack("<q", days)  # the first date follows the 20-byte header
+    with pytest.raises(FormatError, match="outside the calendar"):
+        stack_from_bytes(bytes(raw))
+
+
+def test_calendar_end_dates_round_trip():
+    stack = FieldStack((dt.date.min, dt.date.max), tiny_stack().values)
+    assert stack_from_bytes(stack_to_bytes(stack)).dates == stack.dates

@@ -3,8 +3,10 @@ structural-channel kernel and the verification kernel, at paper scale and on
 tie-heavy inputs, against the reduction route, the per-field views and the
 independent oracles."""
 
+import ast
 import datetime as dt
 import importlib
+import inspect
 import json
 import math
 import subprocess
@@ -888,3 +890,40 @@ def test_every_traced_layer_resolves():
     for module, function in spans.LAYERS:
         layer = getattr(importlib.import_module(f"topofield.{module}"), function, None)
         assert callable(layer), (module, function)
+
+
+def _bench_library_names(tree) -> set[str]:
+    """Dotted ``topofield`` paths a bench source names: imports, then attribute chains on what they bind."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: a.name for a in node.names if a.name.split(".")[0] == "topofield"})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "topofield":
+            bound.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    names = set(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            names.add(".".join([bound[node.id]] + chain))
+    return names
+
+
+def test_every_library_name_the_bench_uses_resolves():
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = set()
+    for source in ("workloads.py", "inputs.py", "checks.py", "test_checks.py"):
+        names |= _bench_library_names(ast.parse((bench / source).read_text()))
+    assert {"topofield.build_structural_channels", "topofield.gfs.days_to_date", "topofield.cli"} <= names
+    for name in sorted(names):
+        obj = importlib.import_module("topofield")
+        for part in name.split(".")[1:]:
+            if not hasattr(obj, part) and inspect.ismodule(obj):
+                try:  # a from-import of a submodule loads it
+                    importlib.import_module(f"{obj.__name__}.{part}")
+                except ModuleNotFoundError:
+                    pass
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)

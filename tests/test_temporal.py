@@ -233,3 +233,17 @@ class TestManifest:
         assert tau.tau == 45
         assert inter == samples[0].inter_dates
         assert intra == samples[0].intra_dates
+
+
+def test_sample_inputs_are_read_only_gathers_of_the_stack():
+    stack = make_4ch_stack()
+    values = stack.values.copy()
+    values[:, 1] = 1.0 / 3.0  # valid T codes and C masks that differ by channel
+    values[:, 3] = 1.0
+    stack = FieldStack(stack.dates, values)
+    sample = build_sample(stack, d("2020-06-01"), LeadTime(45))
+    for inputs, dates in ((sample.inter_inputs, sample.inter_dates), (sample.intra_inputs, sample.intra_dates)):
+        assert inputs.shape == (3, 4, 4, 5) and inputs.dtype == np.float64
+        assert np.array_equal(inputs, stack.values[[stack.index_of(day) for day in dates]])
+        with pytest.raises(ValueError):
+            inputs[0, 0, 0, 0] = 0.5
