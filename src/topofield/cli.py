@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gfs
-from .errors import FormatError, TopofieldError
+from .errors import FormatError, MissingDate, TopofieldError
 from .field import (
     FieldStack,
     NormStats,
@@ -302,7 +302,7 @@ def _cmd_sample(args) -> dict:
             tau = taus[made]
             try:
                 sample = build_sample(stack, t, tau)
-            except TopofieldError:
+            except MissingDate:  # only missing history is worth another draw; any other error is reported
                 continue
             if split and args.role and not validate_split(sample, split, args.role):
                 continue

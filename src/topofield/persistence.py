@@ -84,7 +84,7 @@ class PersistenceDiagram:
 # Complex construction and the elder-rule kernel
 #
 # Cells are ordered by (rank, id), where a cell's rank is the rank of its
-# maximal vertex; a stable argsort of the ranks gives that order.
+# maximal vertex; an argsort of the unique keys rank * size + id gives that order.
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +114,21 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _rank_order(rank: np.ndarray) -> np.ndarray:
+    """The stable argsort of ``rank``, from a default argsort of the unique keys rank * size + index."""
+    return np.argsort(rank * rank.size + np.arange(rank.size))
+
+
+def _first_of_each_pair(lo: np.ndarray, hi: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Positions, ascending, of the first occurrence of each (lo, hi) pair."""
+    key = lo * n_nodes + hi
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
+
+
 def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Union-find sweep over edges listed in sweep order, by the elder rule.
 
@@ -122,35 +137,49 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
     dies there. Returns the sweep index of every merging edge and the root
     it kills, in sweep order.
 
-    A node whose first edge leads to an older node is still alone when that
-    edge is swept, so it dies there. Those deaths are taken at once, and
-    pointer jumping contracts each such node into the label of its oldest
-    ancestor, which is in its component whenever a later edge touches it.
-    Edges inside one label, and repeats of a label pair, merge nothing; the
-    Python sweep runs over the rest.
+    The sweep runs in rounds over labels, each label the oldest node of a
+    set already known to be connected whenever a later edge touches it. A
+    label whose first edge to another label leads to an older label dies
+    there: up to that edge its component lies inside its own set, so its
+    root is still the label. Pointer jumping contracts each such label into
+    the label of its oldest ancestor; edges inside one label, and repeats
+    of a label pair, merge nothing and are dropped. Once a round kills fewer
+    than 1/16 of the edges left (a chain of basins can kill one a round),
+    the Python union-find sweeps the rest.
     """
     n_edges = ends_a.size
-    first = np.full(n_nodes, n_edges)  # each node's first edge, n_edges if it has none
-    np.minimum.at(first, np.concatenate([ends_a, ends_b]), np.tile(np.arange(n_edges), 2))
-    nodes = np.flatnonzero(first < n_edges)
-    other = ends_a[first[nodes]] + ends_b[first[nodes]] - nodes
-    dies = other < nodes  # a self-loop leads to no older node
     label = np.arange(n_nodes)
-    label[nodes[dies]] = other[dies]
-    while True:
-        up = label[label]
-        if np.array_equal(up, label):
+    first = np.full(n_nodes, n_edges)  # each label's first edge this round, n_edges if it has none
+    edge = np.flatnonzero(ends_a != ends_b)  # a self-loop merges nothing
+    a, b = ends_a[edge], ends_b[edge]
+    steps, dead = [], []
+    while edge.size:
+        m = edge.size
+        np.minimum.at(first, np.concatenate([a, b]), np.tile(np.arange(m), 2))
+        nodes = np.flatnonzero(first < n_edges)
+        at = first[nodes]
+        first[nodes] = n_edges
+        other = a[at] + b[at] - nodes
+        dies = other < nodes
+        killed = nodes[dies]
+        steps.append(edge[at[dies]])
+        dead.append(killed)
+        label[killed] = other[dies]
+        up = label[label[killed]]
+        while not np.array_equal(up, label[killed]):
+            label[killed] = up
+            up = label[up]
+        a, b = label[a], label[b]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        rest = np.flatnonzero(lo != hi)
+        rest = rest[_first_of_each_pair(lo[rest], hi[rest], n_nodes)]
+        edge, a, b = edge[rest], lo[rest], hi[rest]
+        if 16 * killed.size < m:
             break
-        label = up
-    ends = label[ends_a], label[ends_b]
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-    rest = np.flatnonzero(lo != hi)
-    # the first edge of each label pair, in sweep order
-    rest = np.sort(rest[np.unique(lo[rest] * n_nodes + hi[rest], return_index=True)[1]])
     parent = list(range(n_nodes))
-    steps: list[int] = []
-    dead: list[int] = []
-    for k, x, y in zip(rest.tolist(), lo[rest].tolist(), hi[rest].tolist()):
+    tail_steps: list[int] = []
+    tail_dead: list[int] = []
+    for k, x, y in zip(edge.tolist(), a.tolist(), b.tolist()):
         while parent[x] != x:  # path halving
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -161,11 +190,11 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
             if x > y:
                 x, y = y, x
             parent[y] = x
-            steps.append(k)
-            dead.append(y)
-    all_steps = np.concatenate([first[nodes[dies]], np.array(steps, dtype=np.int64)])
-    by_step = np.argsort(all_steps)
-    return all_steps[by_step], np.concatenate([nodes[dies], np.array(dead, dtype=np.int64)])[by_step]
+            tail_steps.append(k)
+            tail_dead.append(y)
+    all_steps = np.concatenate([*steps, np.array(tail_steps, dtype=np.int64)])
+    by_step = np.argsort(all_steps)  # steps are distinct edges
+    return all_steps[by_step], np.concatenate([*dead, np.array(tail_dead, dtype=np.int64)])[by_step]
 
 
 def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
@@ -173,7 +202,7 @@ def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     rank, vals = _ranked(values)
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    order = np.argsort(edge_rank, kind="stable")
+    order = _rank_order(edge_rank)
     steps, dead = _elder_merges(rank.size, lo[order], hi[order])
     death = edge_rank[order[steps]]
     keep = dead != death
@@ -197,7 +226,7 @@ def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     rank, vals = _ranked(values)
     h, w = rank.shape
     sq_rank = _square_ranks(rank)
-    sq_order = np.argsort(sq_rank, kind="stable")
+    sq_order = _rank_order(sq_rank)
     n_sq = sq_rank.size
     # node 0 is the outer face (the padding); squares follow, latest first
     node = np.zeros((h + 1, w + 1), dtype=np.int64)
@@ -207,7 +236,7 @@ def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     face_b = np.concatenate([node[1:, 1:-1].ravel(), node[1:-1, 1:].ravel()])
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    order = np.argsort(edge_rank, kind="stable")[::-1]
+    order = _rank_order(edge_rank)[::-1]
     steps, dead = _elder_merges(n_sq + 1, face_a[order], face_b[order])
     # list pairs in square order, as the reduction route does
     by_square = np.argsort(-dead)
@@ -261,9 +290,9 @@ def sublevel_persistence_reduction(field, dim: int) -> PersistenceDiagram:
     h, w = rank.shape
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    edge_order = np.argsort(edge_rank, kind="stable")
+    edge_order = _rank_order(edge_rank)
     sq_rank = _square_ranks(rank)
-    sq_order = np.argsort(sq_rank, kind="stable")
+    sq_order = _rank_order(sq_rank)
     horiz = np.arange(h * (w - 1)).reshape(h, w - 1)
     vert = horiz.size + np.arange((h - 1) * w).reshape(h - 1, w)
     # the four edges of each square: top, bottom, left, right
@@ -302,11 +331,24 @@ def filter_by_persistence(pd: PersistenceDiagram, min_persistence: float) -> Per
 # Bottleneck distance
 
 
-def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> int:
-    """Maximum bipartite matching size (BFS/DFS phase algorithm)."""
+def _hopcroft_karp(flat: Sequence[int], lo: list, hi: list, match_l: list, match_r: list) -> bool:
+    """Augment a bipartite matching until it matches every row or is maximum.
+
+    Row u's columns are ``flat[lo[u]:hi[u]]``. ``match_l[u]`` is row u's
+    column and ``match_r[v]`` column v's row, -1 when free; both are updated
+    in place, and they may start from any matching on these edges. A greedy
+    pass gives each free row its first free column; BFS/DFS phases then
+    augment along the shortest paths. Returns whether every row is matched.
+    """
+    n_left = len(match_l)
+    for u in range(n_left):
+        if match_l[u] == -1:
+            for v in flat[lo[u]:hi[u]]:
+                if match_r[v] == -1:
+                    match_l[u] = v
+                    match_r[v] = u
+                    break
     inf = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
     dist = [0.0] * n_left
 
     def bfs() -> bool:
@@ -317,22 +359,22 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> i
                 queue.append(u)
             else:
                 dist[u] = inf
-        found = False
+        limit = inf  # the layer of the first free column found: no deeper row is expanded
         qi = 0
-        while qi < len(queue):
+        while qi < len(queue) and dist[queue[qi]] < limit:
             u = queue[qi]
             qi += 1
-            for v in adj[u]:
+            for v in flat[lo[u]:hi[u]]:
                 w = match_r[v]
                 if w == -1:
-                    found = True
+                    limit = dist[u] + 1
                 elif dist[w] == inf:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return found
+        return limit < inf
 
     def dfs(u: int) -> bool:
-        for v in adj[u]:
+        for v in flat[lo[u]:hi[u]]:
             w = match_r[v]
             if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
                 match_l[u] = v
@@ -341,23 +383,47 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: Sequence[Sequence[int]]) -> i
         dist[u] = inf
         return False
 
-    size = 0
-    while bfs():
+    while -1 in match_l and bfs():
         for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size
+            if match_l[u] == -1:
+                dfs(u)
+    return -1 not in match_l
 
 
-def _saturates(rows, cols, dist, half: np.ndarray, n_cols: int, t: float) -> bool:
-    """Can every row forced at t (half above t) be matched injectively to a column within t?"""
-    forced = half > t
-    keep = forced[rows] & (dist <= t)
-    degree = np.bincount(rows[keep], minlength=forced.size)[forced]
-    cols = cols[keep].tolist()
-    ends = np.cumsum(degree).tolist()
-    adj = [cols[s:e] for s, e in zip([0] + ends[:-1], ends)]
-    return _hopcroft_karp(degree.size, n_cols, adj) == degree.size
+class _Cover:
+    """One side's covering test: can every row forced at t (half above t) be
+    matched to its own column at distance at most t?
+
+    As t rises the forced rows only shrink and the edges only grow. So a test
+    that passes holds at every higher level, and a matching made at a level
+    that failed stays valid at every higher one: the search tests levels
+    above the highest failure only, and each test augments that matching.
+    Rows come in descending half, so the forced rows are a prefix, and edges
+    come in row order. The columns reach Hopcroft-Karp as a memoryview of
+    the edges within t: no Python list of every edge is built.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, half: np.ndarray, n_cols: int):
+        self.rows, self.cols, self.dist, self.half = rows, cols, dist, half
+        self.passed = INF  # the lowest level that passed
+        self.failed = [], [-1] * n_cols  # the matching at the highest level that failed
+
+    def __call__(self, t: float) -> bool:
+        if t >= self.passed:
+            return True
+        k = int(np.count_nonzero(self.half > t))
+        end = int(np.searchsorted(self.rows, k))  # the forced rows' edges
+        within = self.dist[:end] <= t
+        degree = np.bincount(self.rows[:end][within], minlength=k)
+        ends = np.cumsum(degree)
+        match_l = self.failed[0][:k] + [-1] * (k - len(self.failed[0]))
+        match_r = [-1 if u >= k else u for u in self.failed[1]]
+        flat = memoryview(self.cols[:end][within])
+        if _hopcroft_karp(flat, (ends - degree).tolist(), ends.tolist(), match_l, match_r):
+            self.passed = t
+            return True
+        self.failed = match_l, match_r
+        return False
 
 
 @np.errstate(over="ignore")
@@ -370,29 +436,30 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray, order: np.ndar
     distance that overflows to inf keeps that true, and such a distance is
     never relevant.
     """
-    births = q[order, 0]
-    start = np.searchsorted(births, p[:, 0] - half_p, "left")
-    count = np.searchsorted(births, p[:, 0] + half_p, "right") - start
+    births, deaths = q[order, 0], q[order, 1]
+    p_births, p_deaths = p[:, 0], p[:, 1]
+    start = np.searchsorted(births, p_births - half_p, "left")
+    count = np.searchsorted(births, p_births + half_p, "right") - start
     cuts = np.searchsorted(np.cumsum(count), np.arange(_WINDOW_CHUNK, count.sum(), _WINDOW_CHUNK), "right")
     bounds = [0, *cuts.tolist(), len(p)]
     parts = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         c = count[r0:r1]
         i = np.repeat(np.arange(r0, r1, dtype=np.int32), c)
-        j = order[np.arange(i.size) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)]
-        d = np.maximum(np.abs(p[i, 0] - q[j, 0]), np.abs(p[i, 1] - q[j, 1]))
+        k = np.arange(i.size) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)  # positions in birth order
+        d = np.abs(p_births[i] - births[k])
+        np.maximum(d, np.abs(p_deaths[i] - deaths[k]), out=d)
         keep = d < half_p[i]
-        parts.append((i[keep], j[keep], d[keep]))
+        parts.append((i[keep], order[k[keep]], d[keep]))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def _by_half(points: list) -> tuple[np.ndarray, np.ndarray]:
-    """Points as an (n, 2) array in descending half-persistence, and their halves.
+def _by_half(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points of an (n, 2) array in descending half-persistence, and their halves.
 
     A half is (death - birth) / 2, or death/2 - birth/2 where the difference
     overflows.
     """
-    arr = np.asarray(points, dtype=np.float64).reshape(len(points), 2)
     with np.errstate(over="ignore"):
         span = arr[:, 1] - arr[:, 0]
     half = np.where(np.isinf(span), arr[:, 1] / 2.0 - arr[:, 0] / 2.0, span / 2.0)
@@ -400,8 +467,8 @@ def _by_half(points: list) -> tuple[np.ndarray, np.ndarray]:
     return arr[order], half[order]
 
 
-def _finite_bottleneck(a: list, b: list) -> float:
-    if not a and not b:
+def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
+    if not len(a) and not len(b):
         return 0.0
     # A point forced at t (half above t) can use an edge only if d <= t < its
     # half, and no point on the diagonal is within its half: each side needs
@@ -431,25 +498,28 @@ def _finite_bottleneck(a: list, b: list) -> float:
         lb = max(lb, pay.max())
         edges[s].append((rows + r0, cols, d))
         seen[s] = r1
-    edges_a, edges_b = (tuple(np.concatenate(x) for x in zip(*blocks)) for blocks in edges)
     (_, half_a), (_, half_b) = sides
+    covers = (_Cover(*map(np.concatenate, zip(*edges[0])), half_a, half_b.size),
+              _Cover(*map(np.concatenate, zip(*edges[1])), half_b, half_a.size))
+    del edges  # the blocks, now joined in the covers
 
     def feasible(t: float) -> bool:
         # Mendelsohn-Dulmage: covers of each side's forced points merge into one matching
-        return _saturates(*edges_a, half_a, half_b.size, t) and _saturates(*edges_b, half_b, half_a.size, t)
+        return covers[0](t) and covers[1](t)
 
-    levels = np.unique(np.concatenate((half_a, half_b, edges_a[2], edges_b[2])))
-    levels = levels[np.searchsorted(levels, lb):]
-    # the all-diagonal matching (the largest half) caps the optimum
-    if not feasible(levels[-1]):
-        raise AssertionError("bottleneck search has no feasible candidate")
-    lo, hi, mid = 0, len(levels) - 1, 0  # probe the lower bound first: often it is the optimum
+    # the all-diagonal matching pays the largest half, which caps the optimum
+    cap = max(half_a[:1].tolist() + half_b[:1].tolist())
+    if lb == cap or feasible(lb):  # often the lower bound is the optimum
+        return float(lb)
+    levels = np.unique(np.concatenate((half_a, half_b, covers[0].dist, covers[1].dist)))
+    levels = levels[np.searchsorted(levels, lb, "right"):]  # the last is the cap
+    lo, hi = 0, len(levels) - 1
     while lo < hi:
+        mid = (lo + hi) // 2
         if feasible(levels[mid]):
             hi = mid
         else:
             lo = mid + 1
-        mid = (lo + hi) // 2
     return float(levels[lo])
 
 
@@ -464,15 +534,16 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")
-    ess_a = sorted(a.essential_births)
-    ess_b = sorted(b.essential_births)
-    if len(ess_a) != len(ess_b):
+    pa, pb = (np.array(pd.pairs, dtype=np.float64).reshape(len(pd), 2) for pd in (a, b))
+    fin_a, fin_b = np.isfinite(pa[:, 1]), np.isfinite(pb[:, 1])
+    ess_a, ess_b = np.sort(pa[~fin_a, 0]), np.sort(pb[~fin_b, 0])
+    if ess_a.size != ess_b.size:
         raise EssentialCountMismatch(
-            f"{len(ess_a)} vs {len(ess_b)} essential classes (distance is infinite)"
+            f"{ess_a.size} vs {ess_b.size} essential classes (distance is infinite)"
         )
-    ess_cost = max((abs(x - y) for x, y in zip(ess_a, ess_b)), default=0.0)
-    fin_cost = _finite_bottleneck(list(a.finite_pairs), list(b.finite_pairs))
-    return max(ess_cost, fin_cost)
+    with np.errstate(over="ignore"):
+        ess_cost = float(np.abs(ess_a - ess_b).max(initial=0.0))
+    return max(ess_cost, _finite_bottleneck(pa[fin_a], pb[fin_b]))
 
 
 # ---------------------------------------------------------------------------

@@ -788,6 +788,31 @@ def test_sample_reads_only_sf_on_the_target_date(tmp_path, channel, capsys):
     assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--date", "2013-06-01", "--tau", "45"]) == 0
 
 
+def _daily_stack(path, channels, bad_t=False):
+    """Every day of 2010-2013 on a 3x4 grid: SF random, T, V and C zero, and T = 0.5 in one cell if ``bad_t``."""
+    dates = tuple(dt.date(2010, 1, 1) + dt.timedelta(days=k) for k in range(4 * 365 + 1))
+    values = np.zeros((len(dates), channels, 3, 4))
+    values[:, 0] = np.random.default_rng(52).uniform(0.0, 1.0, (len(dates), 3, 4))
+    if bad_t:
+        values[:, 1, 1, 2] = 0.5
+    write_stack(FieldStack(dates, values), path)
+
+
+def test_sample_count_reports_a_one_channel_stack_at_once(tmp_path, capsys):
+    _daily_stack(tmp_path / "x.gfs", channels=1)
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--count", "3"]) == 1
+    assert capsys.readouterr().err == "error [format_error]: sample construction needs a 4-channel stack, got 1\n"
+
+
+def test_sample_count_reports_bad_structural_codes_instead_of_retrying(tmp_path, capsys):
+    _daily_stack(tmp_path / "x.gfs", channels=4, bad_t=True)
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--count", "3"]) == 1
+    assert capsys.readouterr().err == "error [format_error]: T channel contains values outside the code set\n"
+    _daily_stack(tmp_path / "x.gfs", channels=4)  # the same stack with valid codes gives its samples
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--count", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 3
+
+
 @pytest.mark.parametrize("days", [2**62, -10**7])
 def test_gfs_date_outside_the_calendar_is_exit_1(tmp_path, days):
     raw = bytearray(stack_to_bytes(FieldStack((dt.date(2020, 1, 1),), np.full((1, 1, 3, 4), 280.0))))

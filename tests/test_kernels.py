@@ -130,6 +130,85 @@ def test_contracted_sweep_matches_plain_union_find():
     assert contracted > 5000
 
 
+def spy_rounds(monkeypatch) -> list[int]:
+    """Record, for every elder-rule round, how many edges it leaves."""
+    left = []
+    first_of_each_pair = persistence._first_of_each_pair
+
+    def spy(lo, hi, n_nodes):
+        kept = first_of_each_pair(lo, hi, n_nodes)
+        left.append(kept.size)
+        return kept
+
+    monkeypatch.setattr(persistence, "_first_of_each_pair", spy)
+    return left
+
+
+def multi_component_graph(rng) -> tuple[int, np.ndarray, np.ndarray]:
+    """Random edges inside a few components whose node ids interleave, with
+    isolated nodes, self-loops, repeated pairs and a shuffled sweep order."""
+    n = int(rng.integers(2, 400))
+    component = rng.integers(0, int(rng.integers(1, 6)), size=n)
+    component[rng.random(n) < 0.1] = -1  # isolated nodes
+    members = [np.flatnonzero(component == c) for c in np.unique(component[component >= 0])]
+    if not members:
+        return n, np.empty(0, np.int64), np.empty(0, np.int64)
+    m = int(rng.integers(0, 4 * n))
+    pick = rng.integers(0, len(members), size=m)
+    a = np.array([rng.choice(members[c]) for c in pick], dtype=np.int64)
+    b = np.array([rng.choice(members[c]) for c in pick], dtype=np.int64)
+    b = np.where(rng.random(m) < 0.1, a, b)  # self-loops
+    repeat = rng.random(m) < 0.3
+    a, b = np.concatenate([a, b[repeat]]), np.concatenate([b, a[repeat]])  # repeated pairs, either way round
+    shuffle = rng.permutation(a.size)
+    return n, a[shuffle], b[shuffle]
+
+
+def test_elder_rounds_match_plain_sweep_on_multi_component_graphs(monkeypatch):
+    left = spy_rounds(monkeypatch)
+    rng = np.random.default_rng(307)
+    many_rounds = fallback = 0
+    for _ in range(300):
+        n, a, b = multi_component_graph(rng)
+        left.clear()
+        got = persistence._elder_merges(n, a, b)
+        want = plain_elder_merges(n, a.tolist(), b.tolist())
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (n, a, b)
+        many_rounds += len(left) >= 4
+        fallback += bool(left) and left[-1] > 0  # the last round left edges to the Python loop
+    # measured: 257 graphs took 4 or more rounds, and 16 ended in the Python loop
+    assert many_rounds >= 150 and fallback >= 8
+
+
+def staircase(n_basins: int) -> np.ndarray:
+    """One row of basins whose minima fall and whose separating peaks rise
+    to the right. Each basin's lowest pass leads to its younger left
+    neighbour, so a round of the elder rule over labels kills only the
+    leftmost basin left."""
+    row = np.empty(2 * n_basins - 1)
+    row[0::2] = -np.arange(n_basins)
+    row[1::2] = n_basins + np.arange(n_basins - 1)
+    return row[None, :]
+
+
+def test_staircase_of_basins_falls_back_to_the_python_loop(monkeypatch):
+    left = spy_rounds(monkeypatch)
+    grid = staircase(2000)
+    got = sublevel_persistence(grid, 0)
+    # measured: a vertex round leaves 1,999 label edges, the next kills one
+    # basin, and the loop takes the 1,998 left
+    assert len(left) <= 3 and left[-1] >= 1990, left
+    assert len(got) == 2000
+    assert got.pairs == sublevel_persistence_reduction(grid, 0).pairs
+    rank = persistence._ranked(grid)[0]
+    lo, hi = persistence._edge_ends(rank)
+    order = persistence._rank_order(np.maximum(lo, hi))
+    want = plain_elder_merges(rank.size, lo[order].tolist(), hi[order].tolist())
+    for x, y in zip(persistence._elder_merges(rank.size, lo[order], hi[order]), want):
+        assert np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 9), (9, 2)])
 def test_thin_and_constant_grids_agree_with_reduction(shape):
     rng = np.random.default_rng(305)
@@ -355,6 +434,40 @@ def test_pruned_search_matches_dense_and_exhaustive(monkeypatch, block):
     # measured: 22 misses of the lower bound, 49 one-sided pairs, 156/41/10 split ties
     assert misses >= 15 and one_sided >= 30
     assert split_ties >= (5 if block < 128 else 0)
+
+
+def crowded_diagram(rng, max_points: int) -> list[tuple[float, float]]:
+    """Points around one or two birth centres, rounded to tenths: many points
+    compete for the same partner, so the lower bound is often not the optimum."""
+    n = int(rng.integers(0, max_points + 1))
+    centres = rng.uniform(0, 4, size=int(rng.integers(1, 3)))
+    births = (centres[rng.integers(0, centres.size, n)] + rng.uniform(0, 1, n)).round(1)
+    lives = rng.uniform(1, 4, n).round(1)
+    return [(float(x), float(x + y)) for x, y in zip(births, lives)]
+
+
+def test_warm_started_search_matches_oracles(monkeypatch):
+    warm = []
+    call = persistence._Cover.__call__
+
+    def spy(cover, t):
+        warm.append(cover.failed is not None and t < cover.passed)  # a test that augments a kept matching
+        return call(cover, t)
+
+    monkeypatch.setattr(persistence._Cover, "__call__", spy)
+    rng = np.random.default_rng(308)
+    misses = searched = 0
+    for k in range(240):
+        a, b = crowded_diagram(rng, 6), crowded_diagram(rng, 6 if k % 8 else 0)
+        warm.clear()
+        got = pruned_distance(a, b)
+        assert got == exhaustive_bottleneck(a, b), (a, b)
+        if len(a) + len(b) <= 7:
+            assert got == bruteforce_bottleneck(a, b), (a, b)
+        misses += got > dense_lower_bound(a, b)
+        searched += sum(warm)
+    # measured: 50 pairs above the lower bound and 125 warm-started tests
+    assert misses >= 30 and searched >= 80
 
 
 def test_bottleneck_enumerates_rows_above_the_lower_bound_only(monkeypatch):
