@@ -22,8 +22,6 @@ from .field import (
 )
 from .fusion import (
     LambdaMap,
-    LeadMap,
-    PositionalEncoding,
     RegWeights,
     apply_residual,
     entropy_term,
@@ -78,7 +76,6 @@ from .structural import (
     CriticalKind,
     CriticalPoint,
     MultiChannelField,
-    StructuralChannels,
     build_structural_channels,
     build_structural_stack,
     classify_critical_points,

@@ -26,6 +26,7 @@ from .field import (
     compute_norm_stats,
     denormalize_stack,
     denormalized,
+    normalize,
     normalize_stack,
 )
 from .fusion import RegWeights, _regularizer, add_residual, blend
@@ -255,11 +256,13 @@ def _cmd_channels(args) -> dict:
 
 def _cmd_persistence(args) -> dict:
     stack = gfs.read_stack(args.input)
-    if args.stats:
-        stack = normalize_stack(stack, _load_stats(args.stats))
+    stats = _load_stats(args.stats) if args.stats else None
     idx = _pick_date(stack, args.date, "input stack")
+    field = stack.field(idx)
+    if stats is not None:
+        field = normalize(field, stats)  # elementwise: the picked date alone needs it
     dims = [args.dim] if args.dim is not None else [0, 1]
-    diagrams = [sublevel_persistence(stack.values[idx, 0], d) for d in dims]
+    diagrams = [sublevel_persistence(field, d) for d in dims]
     if args.min_persistence > 0:
         diagrams = [filter_by_persistence(pd, args.min_persistence) for pd in diagrams]
     if args.output:

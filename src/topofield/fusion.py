@@ -1,8 +1,8 @@
 """Spatially adaptive fusion arithmetic and fusion-weight regularizers.
 
 The blend weight map lives in [0, 1]: 1 selects the calendar-aligned
-branch, 0 the recent-dynamics branch. Only the finest-resolution level
-enters any computation; coarser levels are carried for provenance.
+branch, 0 the recent-dynamics branch. It is held at the finest
+resolution only.
 """
 
 from __future__ import annotations
@@ -18,25 +18,16 @@ from .temporal import TAU_MAX, TAU_MIN, LeadTime
 
 @dataclass(frozen=True)
 class LambdaMap:
-    """Blend-weight map(s), finest level first, all values in [0, 1]."""
+    """The finest-level blend-weight map, all values in [0, 1]."""
 
-    levels: tuple[ScalarField, ...]
+    level1: ScalarField
 
     def __post_init__(self):
-        if not self.levels:
-            raise FormatError("a lambda map needs at least the finest level")
-        levels = tuple(self.levels)
-        for lv in levels:
-            _check_weights(lv.values)
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def level1(self) -> ScalarField:
-        return self.levels[0]
+        _check_weights(self.level1.values)
 
     @classmethod
     def of(cls, field_like) -> "LambdaMap":
-        return cls((ScalarField(as_values(field_like)),))
+        return cls(ScalarField(as_values(field_like)))
 
 
 @dataclass(frozen=True)
@@ -53,20 +44,6 @@ class RegWeights:
             raise FormatError("regularizer weights must be finite and nonnegative")
         if not 0.0 <= self.lambda_target <= 1.0:
             raise FormatError("lambda_target must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PositionalEncoding:
-    lat_channel: ScalarField
-    lon_channel: ScalarField
-
-
-@dataclass(frozen=True)
-class LeadMap:
-    """Constant conditioning map (tau - 30) / 60 broadcast over the grid."""
-
-    value: float
-    field: ScalarField
 
 
 def _check_weights(lam: np.ndarray) -> None:
@@ -167,16 +144,15 @@ def l_reg(lam: LambdaMap, w: RegWeights) -> float:
     return float(_regularizer(lam.level1.values[None], w)[3][0])
 
 
-def positional_encoding(height: int, width: int) -> PositionalEncoding:
-    """Two rank-1 channels: row index / (h-1) and column index / (w-1)."""
+def positional_encoding(height: int, width: int) -> np.ndarray:
+    """Two rank-1 channels, shape (2, h, w): row index / (h-1), then column index / (w-1)."""
     if height < 2 or width < 2:
         raise GridTooSmall(f"positional encoding needs at least 2x2, got {height}x{width}")
-    rows = np.repeat(np.arange(height, dtype=np.float64)[:, None] / (height - 1), width, axis=1)
-    cols = np.repeat(np.arange(width, dtype=np.float64)[None, :] / (width - 1), height, axis=0)
-    return PositionalEncoding(ScalarField(rows), ScalarField(cols))
+    rows = np.arange(height, dtype=np.float64)[:, None] / (height - 1)
+    cols = np.arange(width, dtype=np.float64)[None, :] / (width - 1)
+    return np.stack(np.broadcast_arrays(rows, cols))
 
 
-def lead_map(tau: LeadTime, height: int, width: int) -> LeadMap:
-    """Lead time mapped onto [0, 1] over the 30..90-day window."""
-    value = (tau.tau - TAU_MIN) / (TAU_MAX - TAU_MIN)
-    return LeadMap(value, ScalarField(np.full((height, width), value)))
+def lead_map(tau: LeadTime, height: int, width: int) -> np.ndarray:
+    """The constant (h, w) conditioning map (tau - 30) / 60: lead time on [0, 1] over the 30..90-day window."""
+    return np.full((height, width), (tau.tau - TAU_MIN) / (TAU_MAX - TAU_MIN))

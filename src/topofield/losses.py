@@ -83,8 +83,6 @@ def topo_loss(truth, pred) -> float:
     tv_, pv_ = _pair(truth, pred)
     pd_truth = sublevel_persistence(tv_, 1)
     pd_pred = sublevel_persistence(pv_, 1)
-    if len(pd_truth) == 0 and len(pd_pred) == 0:
-        return 0.0
     return bottleneck_distance(pd_truth, pd_pred)
 
 

@@ -55,34 +55,13 @@ def _check_codes(t: np.ndarray, c: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class StructuralChannels:
-    """Critical-point type map T, value map V, and contour mask C."""
-
-    t: ScalarField
-    v: ScalarField
-    c: ScalarField
-
-    def __post_init__(self):
-        if not (self.t.shape == self.v.shape == self.c.shape):
-            raise FormatError("structural channels must share one grid shape")
-        _check_codes(self.t.values, self.c.values)
-
-
-@dataclass(frozen=True)
 class MultiChannelField:
-    """The 4-channel structural tensor for one date: [SF, T, V, C]."""
+    """The 4-channel structural tensor for one date: the kernel's read-only (4, h, w) block [SF, T, V, C]."""
 
-    sf: ScalarField
-    channels: StructuralChannels
-
-    def __post_init__(self):
-        if self.sf.shape != self.channels.t.shape:
-            raise FormatError("SF and structural channels must share one grid shape")
+    block: np.ndarray
 
     def to_array(self) -> np.ndarray:
-        return np.stack(
-            [self.sf.values, self.channels.t.values, self.channels.v.values, self.channels.c.values]
-        )
+        return self.block
 
 
 def _type_map(rank: np.ndarray) -> np.ndarray:
@@ -166,9 +145,9 @@ def build_structural_channels(field: ScalarField) -> MultiChannelField:
     """Assemble the 4-channel representation of one normalized field."""
     values = as_values(field)
     _check_normalized(values)
-    _, t, v, c = _channels(values[None])[0]
-    sf = field if isinstance(field, ScalarField) else ScalarField(values)
-    return MultiChannelField(sf, StructuralChannels(ScalarField(t), ScalarField(v), ScalarField(c)))
+    block = _channels(values[None])[0]
+    block.setflags(write=False)
+    return MultiChannelField(block)
 
 
 def build_structural_stack(stack: FieldStack, threads: int | None = None) -> FieldStack:

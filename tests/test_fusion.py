@@ -187,20 +187,21 @@ class TestLReg:
 
 class TestPositionalEncoding:
     def test_corners(self):
-        pe = positional_encoding(5, 7)
-        assert pe.lat_channel.values[0, 0] == 0.0
-        assert pe.lon_channel.values[0, 0] == 0.0
-        assert pe.lat_channel.values[4, 6] == 1.0
-        assert pe.lon_channel.values[4, 6] == 1.0
+        lat, lon = positional_encoding(5, 7)
+        assert lat[0, 0] == 0.0
+        assert lon[0, 0] == 0.0
+        assert lat[4, 6] == 1.0
+        assert lon[4, 6] == 1.0
 
     def test_midpoint_row(self):
         pe = positional_encoding(5, 4)
-        assert np.all(pe.lat_channel.values[2] == 0.5)
+        assert pe.shape == (2, 5, 4)
+        assert np.all(pe[0, 2] == 0.5)
 
     def test_rank_one_structure(self):
-        pe = positional_encoding(6, 8)
-        assert np.linalg.matrix_rank(pe.lat_channel.values) == 1
-        assert np.linalg.matrix_rank(pe.lon_channel.values) == 1
+        lat, lon = positional_encoding(6, 8)
+        assert np.linalg.matrix_rank(lat) == 1
+        assert np.linalg.matrix_rank(lon) == 1
 
     def test_too_small(self):
         with pytest.raises(GridTooSmall):
@@ -211,24 +212,18 @@ class TestLeadMap:
     @pytest.mark.parametrize("tau,value", [(30, 0.0), (60, 0.5), (90, 1.0)])
     def test_window_normalization(self, tau, value):
         lm = lead_map(LeadTime(tau), 3, 4)
-        assert lm.value == value
-        assert np.all(lm.field.values == value)
+        assert lm.shape == (3, 4)
+        assert np.all(lm == value)
 
     def test_field_is_constant(self):
         lm = lead_map(LeadTime(47), 4, 4)
-        assert lm.field.values.max() == lm.field.values.min()
+        assert lm.max() == lm.min()
 
 
 class TestLambdaMap:
     def test_rejects_out_of_range(self):
         with pytest.raises(FormatError):
             LambdaMap.of(np.full((2, 2), 1.5))
-
-    def test_level1_is_finest(self):
-        fine = ScalarField(np.full((4, 4), 0.5))
-        coarse = ScalarField(np.full((2, 2), 0.5))
-        lam = LambdaMap((fine, coarse))
-        assert lam.level1.shape == (4, 4)
 
 
 def one_map_terms(vals, target):

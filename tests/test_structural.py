@@ -116,27 +116,26 @@ def bump(r, c, amplitude=1.0, sigma=2.0):
 class TestBuildChannels:
     def test_ramp_channels_all_zero(self):
         ramp = ScalarField(np.tile(np.linspace(0, 1, 6), (5, 1)))
-        x = build_structural_channels(ramp)
-        assert not x.channels.t.values.any()
-        assert not x.channels.v.values.any()
-        assert not x.channels.c.values.any()
+        _, t, v, c = build_structural_channels(ramp).to_array()
+        assert not t.any()
+        assert not v.any()
+        assert not c.any()
 
     def test_constant_field_channels_all_zero(self):
-        x = build_structural_channels(ScalarField(np.full((5, 5), 0.25)))
-        assert not x.channels.t.values.any()
-        assert not x.channels.c.values.any()
+        _, t, _, c = build_structural_channels(ScalarField(np.full((5, 5), 0.25))).to_array()
+        assert not t.any()
+        assert not c.any()
 
     def test_two_bump_codes(self):
         field = gaussian_mixture_field((15, 15), [bump(4, 4, 0.9), bump(10, 10, 0.9)])
-        x = build_structural_channels(field)
-        t = x.channels.t.values
+        t = build_structural_channels(field).to_array()[1]
         assert (t == T_MAXIMUM).sum() >= 2
         assert (t == T_SADDLE).sum() >= 1
 
     def test_v_nonzero_only_at_critical_cells(self):
         field = gaussian_mixture_field((15, 15), [bump(4, 4, 0.9), bump(10, 10, 0.9)])
-        x = build_structural_channels(field)
-        assert np.all((x.channels.v.values != 0) <= (x.channels.t.values != 0))
+        _, t, v, _ = build_structural_channels(field).to_array()
+        assert np.all((v != 0) <= (t != 0))
 
     def test_rejects_unnormalized_input(self):
         with pytest.raises(OutOfRange):
@@ -154,6 +153,7 @@ class TestBuildChannels:
         a = build_structural_channels(field).to_array()
         b = build_structural_channels(field).to_array()
         assert np.array_equal(a, b)
+        assert not a.flags.writeable
 
 
 class TestCausality:
