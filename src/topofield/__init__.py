@@ -8,8 +8,6 @@ and a batch CLI tying them together.
 
 from .errors import TopofieldError
 from .field import (
-    DEFAULT_HEIGHT,
-    DEFAULT_WIDTH,
     FieldStack,
     NormStats,
     ScalarField,

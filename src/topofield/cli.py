@@ -635,7 +635,7 @@ def _pop_config(argv: list[str]) -> dict:
         else:
             i += 1
             continue
-        loaded = json.loads(Path(path).read_text())
+        loaded = _read_json(path, "config file")
         if not isinstance(loaded, dict):
             raise FormatError("config file must hold a JSON object")
         config.update(loaded)
@@ -690,7 +690,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         config = _pop_config(argv)
-    except (TopofieldError, FileNotFoundError, ValueError) as exc:  # ValueError: bad bytes or JSON
+    except (TopofieldError, FileNotFoundError) as exc:
         return _fail("config", exc)
     except OSError as exc:
         return _fail("io_error", exc)

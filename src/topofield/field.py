@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import DegenerateStats, EmptyTrainingSet, FormatError, OutOfRange
 
-# Canonical grid size of the target domain; purely a convenience default.
-DEFAULT_HEIGHT = 101
-DEFAULT_WIDTH = 237
-
 # Tolerances fixed by contract.
 DEGENERATE_SPAN = 1e-12
 DENORM_SLACK = 1e-9
@@ -211,10 +207,19 @@ def compute_norm_stats(stack: FieldStack, split: SplitSpec) -> NormStats:
     return NormStats(float(p1), float(p99))
 
 
+def normalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Normalized values of kelvin grids, one or many: shape (..., h, w).
+
+    [p1, p99] maps affinely onto [0, 1]; values outside it are clipped.
+    """
+    out = values - stats.p1
+    out /= stats.span
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def normalize(field: ScalarField, stats: NormStats) -> ScalarField:
     """Affine map of [p1, p99] onto [0, 1], clipped to that range."""
-    out = (field.values - stats.p1) / stats.span
-    return ScalarField(np.clip(out, 0.0, 1.0))
+    return ScalarField(normalized(field.values, stats))
 
 
 def denormalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -240,10 +245,7 @@ def denormalize(field: ScalarField, stats: NormStats) -> ScalarField:
 
 def normalize_stack(stack: FieldStack, stats: NormStats) -> FieldStack:
     """Normalize every channel of every date in a stack."""
-    out = stack.values - stats.p1
-    out /= stats.span
-    np.clip(out, 0.0, 1.0, out=out)
-    return FieldStack._adopt(stack.dates, out)
+    return FieldStack._adopt(stack.dates, normalized(stack.values, stats))
 
 
 def denormalize_stack(stack: FieldStack, stats: NormStats) -> FieldStack:

@@ -40,13 +40,6 @@ KDE_MARGIN_BANDWIDTHS = 3.0
 # Cells of one (grid points x samples) block of the exact KDE: 512 KB per
 # buffer, which stays in cache; 2**20-cell blocks ran 1.5-3x slower.
 _KDE_BLOCK_CELLS = 1 << 16
-# np.exp leaves its SIMD fast path where its argument falls below about
-# -707.7 (17-210 ns an element against 1.2 ns), and it returns exactly 0.0
-# below -745.13. So the cells of a block whose argument is below
-# _KDE_SLOW_EXP are evaluated apart, and those below _KDE_EXP_ZERO are set
-# to 0.0 without a call.
-_KDE_SLOW_EXP = -707.0
-_KDE_EXP_ZERO = -750.0
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -346,40 +339,27 @@ def _kde(samples: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
 
     A block holds at least one grid point. Each point's sum runs over all
     samples in one row, so the blocking does not change any density. The
-    block is evaluated in two buffers allocated once per call, in the order
-    of the one-shot formula ``exp((-0.5 * z) * z)`` with ``z = (g - s) / h``.
-    Cells whose argument would take ``np.exp`` off its fast path (see
-    ``_KDE_SLOW_EXP``) are set to 0 for the block's ``exp`` and evaluated by
-    a second, contiguous ``exp`` call, so every value is still the one
-    ``np.exp`` gives.
+    block is evaluated in place in one buffer allocated once per call, as
+    ``exp(-0.5 * (z * z))`` with ``z = (g - s) / h``. That gives the same
+    bits as the one-shot ``exp((-0.5 * z) * z)``: scaling by a power of two
+    is exact, so the two products differ only where they underflow, where
+    ``exp`` gives 1.0 for both, or overflow, where it gives 0.0 for both.
     """
     rows = max(1, _KDE_BLOCK_CELLS // samples.size)
-    # one allocation for both: at 768 samples a call took 47 minor page faults
-    # this way and 290 as two allocations of 512 KB
-    z, arg = np.empty((2, min(rows, grid.size), samples.size))
-    slow = np.empty(z.shape, dtype=bool)
+    z = np.empty((min(rows, grid.size), samples.size))
     sums = np.empty(grid.size)
     # a distance that overflows to inf bandwidths gives an argument of -inf,
     # whose term is 0.0
     with np.errstate(over="ignore"):
         for i in range(0, grid.size, rows):
             g = grid[i : i + rows]
-            zb, ab = z[: g.size], arg[: g.size]
+            zb = z[: g.size]
             np.subtract(g[:, None], samples, out=zb)
             np.divide(zb, h, out=zb)
-            np.multiply(-0.5, zb, out=ab)
-            np.multiply(ab, zb, out=ab)
-            # ascending indices of the slow cells, so that the gathers and
-            # scatters walk memory in order
-            far = np.flatnonzero(np.less(ab, _KDE_SLOW_EXP, out=slow[: g.size]))
-            flat = ab.reshape(-1)
-            far_arg = flat[far]
-            flat[far] = 0.0
-            np.exp(ab, out=ab)
-            flat[far] = 0.0
-            keep = far_arg >= _KDE_EXP_ZERO
-            flat[far[keep]] = np.exp(far_arg[keep])
-            ab.sum(axis=1, out=sums[i : i + g.size])
+            np.multiply(zb, zb, out=zb)
+            np.multiply(zb, -0.5, out=zb)
+            np.exp(zb, out=zb)
+            zb.sum(axis=1, out=sums[i : i + g.size])
     sums /= samples.size * h * math.sqrt(2.0 * math.pi)
     return sums
 

@@ -373,15 +373,33 @@ def _hopcroft_karp(flat: Sequence[int], lo: list, hi: list, match_l: list, match
                     queue.append(w)
         return limit < inf
 
-    def dfs(u: int) -> bool:
-        for v in flat[lo[u]:hi[u]]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = inf
-        return False
+    edge = [0] * n_left  # the next edge each row on the DFS stack tries
+
+    def dfs(root: int) -> None:
+        """Follow the layers down from a free row, with an explicit stack so
+        that a path through every row cannot exhaust the recursion limit. A
+        path that reaches a free column is flipped; a row whose edges all
+        fail leaves the phase."""
+        edge[root] = lo[root]
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            e = edge[u]
+            if e == hi[u]:
+                dist[u] = inf
+                stack.pop()
+                continue
+            edge[u] = e + 1
+            w = match_r[flat[e]]
+            if w == -1:
+                for x in stack:  # each row on the path takes the column it went through
+                    v = flat[edge[x] - 1]
+                    match_l[x] = v
+                    match_r[v] = x
+                return
+            if dist[w] == dist[u] + 1:
+                edge[w] = lo[w]
+                stack.append(w)
 
     while -1 in match_l and bfs():
         for u in range(n_left):

@@ -66,6 +66,19 @@ def test_half_persistence_that_overflows_stays_finite():
     assert bottleneck_distance(wide, near) == bottleneck_distance(near, wide) == 1e308 - 9e307
 
 
+def augmenting_chain(n):
+    """Two n-point H1 diagrams whose greedy matching gives a_i the column of
+    b_(i+1), which leaves one augmenting path through every row."""
+    a = [(-2.0 * i - 1.0, -2.0 * i - 1.0 + 2000.0 - i * 2.0**-12) for i in range(n)]
+    b = [(-2.0 * j, -2.0 * j + 2000.0 - (j - 0.5) * 2.0**-12) for j in range(n)]
+    return diagram(a, dim=1), diagram(b, dim=1)
+
+
+def test_augmenting_path_through_every_row_needs_no_recursion():
+    # a recursive depth-first search raised RecursionError from about 1,000 rows
+    assert bottleneck_distance(*augmenting_chain(3000)) == 1.0 + 2.0**-13
+
+
 class TestAgainstExhaustiveOracle:
     def test_small_random_diagrams(self):
         rng = np.random.default_rng(77)

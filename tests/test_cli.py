@@ -28,6 +28,8 @@ from topofield.cli import run
 from topofield.errors import OutOfRange
 from topofield.gfs import read_stack, write_stack
 
+from test_bottleneck import augmenting_chain
+
 
 @pytest.fixture
 def raw_stack(tmp_path):
@@ -122,6 +124,18 @@ def test_bottleneck_of_a_half_persistence_that_overflows(tmp_path, capsys):
     assert run(["bottleneck", str(wide), str(empty), "--dim", "1", "--json"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out) == {"dim": 1, "distance": 1e308}
+    assert err == ""
+
+
+def test_bottleneck_of_a_long_augmenting_chain(tmp_path, capsys):
+    paths = []
+    for name, pd in zip("ab", augmenting_chain(3000)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("dim,birth,death\n" + "".join(f"1,{b!r},{d!r}\n" for b, d in pd.pairs))
+        paths.append(str(path))
+    assert run(["bottleneck", *paths, "--dim", "1", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"dim": 1, "distance": 1.0 + 2.0**-13}
     assert err == ""
 
 
@@ -487,6 +501,13 @@ def test_undecodable_config_is_exit_1(tmp_path, raw_stack, capsys):
     cfg.write_bytes(b"\xff\xfe{")
     assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 1
     assert "error [config]" in capsys.readouterr().err
+
+
+def test_malformed_config_is_exit_1_naming_the_file(tmp_path, raw_stack, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error [config]: config file {cfg} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("content", [

@@ -41,7 +41,7 @@ from topofield import (
 )
 from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
-from topofield.metrics import _KDE_EXP_ZERO, _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
+from topofield.metrics import _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
 from topofield.field import _CHUNK_CELLS
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
@@ -794,6 +794,19 @@ def test_kde_stays_under_its_memory_budget():
     assert peak < 8e6, peak
 
 
+def test_kde_holds_one_block_buffer():
+    rng = np.random.default_rng(62)
+    samples, grid = rng.normal(size=8000), np.linspace(-5.0, 5.0, 2048)
+    tracemalloc.start()
+    try:
+        _kde(samples, 0.3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 512 KB block of 8 grid points x 8000 samples, and the 16 KB output
+    assert peak < 0.75e6, peak
+
+
 def one_shot_terms(samples, h, grid):
     """Every kernel term ``exp((-0.5 * z) * z)`` as one (grid points x samples) matrix."""
     z = (grid[:, None] - samples[None, :]) / h
@@ -826,8 +839,8 @@ def two_clusters(rng, n, h):
 
 @pytest.mark.parametrize("n, points", [(7, 2048), (1000, 2048), (70_000, 40)])
 def test_kde_with_slow_cells_equals_one_shot_sum(n, points):
-    # blocks of 2048, 65 and 1 grid points; the slow cells are set to 0 for the
-    # block's exp and evaluated apart, which must not change a single bit
+    # blocks of 2048, 65 and 1 grid points, with terms that underflow to 0.0
+    # and subnormal terms: the blocked sum must not change a single bit
     rng = np.random.default_rng(57)
     h = 0.05
     samples = two_clusters(rng, n, h)
@@ -838,32 +851,6 @@ def test_kde_with_slow_cells_equals_one_shot_sum(n, points):
     assert far_kinds(terms) == {"zero", "subnormal", "subnormal_sum"}
     want = terms.sum(axis=1) / (samples.size * h * math.sqrt(2.0 * math.pi))
     assert _kde(samples, h, grid).tobytes() == want.tobytes()
-
-
-def test_block_exp_stays_on_its_fast_path(monkeypatch):
-    from topofield import metrics
-
-    class ExpSpy:
-        """numpy, with each ``exp`` call's smallest argument recorded."""
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def exp(x, **kwargs):
-            calls.append(("block" if "out" in kwargs else "slow", float(x.min(initial=0.0))))
-            return np.exp(x, **kwargs)
-
-    calls = []
-    monkeypatch.setattr(metrics, "np", ExpSpy())
-    rng = np.random.default_rng(61)
-    for n, points in ((1000, 2048), (70_000, 40)):  # 65 grid points a block, and one
-        samples = two_clusters(rng, n, 0.05)
-        _kde(samples, 0.05, np.linspace(-3.0, 6.5, points))
-    block = [m for kind, m in calls if kind == "block"]
-    slow = [m for kind, m in calls if kind == "slow"]
-    assert len(block) == 32 + 40 and min(block) >= -707.7
-    assert slow and min(slow) >= _KDE_EXP_ZERO and min(slow) < -707.7
 
 
 def test_kde_with_slow_cells_equals_one_shot_sum_on_random_mixtures():
@@ -919,14 +906,6 @@ def test_evaluate_overlaps_with_slow_cells_do_not_depend_on_threads():
     two = evaluate_stack(pred, truth, clim, STATS, dates, 45, with_overlap=True, threads=2)
     assert one == two
     assert one == per_date(pred, truth, clim, dates, True)
-
-
-def test_exp_is_exactly_zero_below_the_zero_constant():
-    # premise of setting the slow cells below _KDE_EXP_ZERO to 0.0 without a call
-    sweep = np.linspace(_KDE_EXP_ZERO, 2.0 * _KDE_EXP_ZERO, 1_000_001)
-    assert sweep.max() == _KDE_EXP_ZERO
-    assert not np.exp(sweep).any()
-    assert np.exp(np.nextafter(-745.13, 0.0)) > 0.0  # the smallest subnormal survives above -745.13
 
 
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
