@@ -41,17 +41,22 @@ def days_to_date(days: int) -> dt.date:
         raise FormatError(f"day count {days} lies outside the calendar") from None
 
 
+def _parts(stack: FieldStack) -> tuple:
+    """The header, the dates and the ``<f4`` values of a stack, in file order."""
+    n, c, h, w = stack.values.shape
+    days = np.array([date_to_days(d) for d in stack.dates], dtype="<i8")
+    return _HEADER.pack(MAGIC, n, h, w, c), days, stack.values.astype("<f4", order="C")
+
+
 def write_stack(stack: FieldStack, path) -> None:
-    Path(path).write_bytes(stack_to_bytes(stack))
+    parts = _parts(stack)
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
 
 
 def stack_to_bytes(stack: FieldStack) -> bytes:
-    n, c, h, w = stack.values.shape
-    parts = [_HEADER.pack(MAGIC, n, h, w, c)]
-    days = np.array([date_to_days(d) for d in stack.dates], dtype="<i8")
-    parts.append(days.tobytes())
-    parts.append(stack.values.astype("<f4").tobytes(order="C"))
-    return b"".join(parts)
+    return b"".join(_parts(stack))
 
 
 def read_stack(path) -> FieldStack:

@@ -18,11 +18,31 @@ def vertex_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(rank, order)`` over the flattened cells of each grid, both of
     shape ``values.shape[:-2] + (h * w,)``: ``rank[..., i]`` is the position
     of cell i in the ascending perturbed order, and ``order[..., r]`` is the
-    flat cell index at position r (so ``order`` inverts ``rank``). A stable
-    sort keeps equal values in index order.
+    flat cell index at position r (so ``order`` inverts ``rank``).
+
+    The values are sorted with the default (unstable) argsort; then each run
+    of equal sorted values gets its cell indices back in ascending order, by
+    one sort of (run start, index) keys over the tied positions only. That
+    is the order of a stable sort, -0.0 and 0.0 counting as equal.
     """
-    flat = values.reshape(values.shape[:-2] + (values.shape[-2] * values.shape[-1],))
-    order = np.argsort(flat, axis=-1, kind="stable")
+    cells = values.shape[-2] * values.shape[-1]
+    flat = values.reshape(-1, cells)
+    order = np.argsort(flat, axis=-1)
+    sorted_values = np.take_along_axis(flat, order, axis=-1)
+    tie = sorted_values[:, 1:] == sorted_values[:, :-1]
+    in_run = np.zeros(flat.shape, dtype=bool)
+    in_run[:, 1:] = tie
+    in_run[:, :-1] |= tie
+    starts = in_run.copy()
+    starts[:, 1:] &= ~tie
+    pos = np.flatnonzero(in_run)
+    # each tied position's run start, a flat position below rows * cells
+    run = np.maximum.accumulate(np.where(starts.ravel()[pos], pos, 0))
+    flat_order = order.reshape(-1)
+    keys = run * cells + flat_order[pos]
+    keys.sort()
+    flat_order[pos] = keys % cells
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(flat.shape[-1]), axis=-1)
-    return rank, order
+    np.put_along_axis(rank, order, np.arange(cells), axis=-1)
+    shape = values.shape[:-2] + (cells,)
+    return rank.reshape(shape), order.reshape(shape)

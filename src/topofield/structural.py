@@ -64,53 +64,80 @@ class MultiChannelField:
         return self.block
 
 
-def _type_map(rank: np.ndarray) -> np.ndarray:
-    """T codes of an (n, h, w) rank block by 8-ring sign changes.
+def _ring_table() -> np.ndarray:
+    """T code of each ring pattern: bit i of the pattern is set when ring cell i is above the centre.
 
     Walking the ring cyclically: 0 changes with an all-lower ring is a
     maximum, 0 with an all-higher ring a minimum, and 4 or more changes a
-    saddle (multi-saddles included). 2 changes is regular; boundary cells
-    are never classified.
+    saddle (multi-saddles included). 2 changes is regular.
+    """
+    above = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    changes = (above != np.roll(above, -1, axis=1)).sum(axis=1)
+    n_above = above.sum(axis=1)
+    table = np.zeros(256)
+    table[(changes == 0) & (n_above == 0)] = T_MAXIMUM
+    table[(changes == 0) & (n_above == 8)] = T_MINIMUM
+    table[changes >= 4] = T_SADDLE
+    return table
+
+
+_RING_T = _ring_table()
+
+
+def _type_map(rank: np.ndarray) -> np.ndarray:
+    """T codes of an (n, h, w) rank block: each interior cell's 8-ring pattern looked up in ``_RING_T``.
+
+    Boundary cells are never classified.
     """
     n, h, w = rank.shape
     if h < 3 or w < 3:
         raise GridTooSmall(f"classification needs at least 3x3, got {h}x{w}")
     center = rank[:, 1:-1, 1:-1]
-    above = np.stack([rank[:, 1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc] > center for dr, dc in _RING])
-    changes = (above != np.roll(above, -1, axis=0)).sum(axis=0)
-    n_above = above.sum(axis=0)
+    pattern = np.zeros(center.shape, dtype=np.uint8)
+    for bit, (dr, dc) in enumerate(_RING):
+        pattern |= (rank[:, 1 + dr : h - 1 + dr, 1 + dc : w - 1 + dc] > center).view(np.uint8) << bit
     t = np.zeros(rank.shape)
-    inner = t[:, 1:-1, 1:-1]
-    inner[(changes == 0) & (n_above == 0)] = T_MAXIMUM
-    inner[(changes == 0) & (n_above == 8)] = T_MINIMUM
-    inner[changes >= 4] = T_SADDLE
+    t[:, 1:-1, 1:-1] = _RING_T[pattern]
     return t
 
 
 def _contour_mask(keys: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Cells at either end of a grid edge whose endpoint keys strictly straddle a level.
 
-    ``keys`` are distinct integers over the last two axes; ``levels`` is sorted.
+    ``keys`` are distinct integers in ``[0, keys.size)`` over the last two
+    axes; ``levels`` are some of them, in any order, repeats allowed. A
+    counting table gives ``below[r]``, the number of levels under ``r``. An
+    edge with keys a < b straddles a level iff ``below[b] > below[a + 1]``,
+    so each cell reads ``under = below[key]`` and ``upto = below[key + 1]``,
+    and an edge is crossed iff one end's ``under`` exceeds the other's ``upto``.
     """
+    below = np.zeros(keys.size + 1, dtype=np.intp)
+    below[levels + 1] = 1
+    np.cumsum(below, out=below)
+    under, upto = below[keys], below[keys + 1]
     mask = np.zeros(keys.shape, dtype=bool)
     # horizontal edges, then vertical ones through transposed views
-    for k, m in ((keys, mask), (keys.swapaxes(-1, -2), mask.swapaxes(-1, -2))):
-        lo, hi = np.minimum(k[..., :-1], k[..., 1:]), np.maximum(k[..., :-1], k[..., 1:])
-        crossed = np.searchsorted(levels, hi, "left") > np.searchsorted(levels, lo, "right")
+    for u, v, m in ((under, upto, mask), (under.swapaxes(-1, -2), upto.swapaxes(-1, -2), mask.swapaxes(-1, -2))):
+        crossed = (u[..., 1:] > v[..., :-1]) | (u[..., :-1] > v[..., 1:])
         m[..., :-1] |= crossed
         m[..., 1:] |= crossed
     return mask
 
 
-def _channels(block: np.ndarray) -> np.ndarray:
-    """The kernel: [SF, T, V, C] of an (n, h, w) block of fields, shape (n, 4, h, w)."""
+def _channels(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The kernel: write [SF, T, V, C] of an (n, h, w) block of fields into ``out``, shape (n, 4, h, w)."""
     n, h, w = block.shape
     rank = vertex_ranks(block)[0].reshape(block.shape)
     t = _type_map(rank)
-    # offset each field's ranks so one sorted level array serves the block
+    # offset each field's ranks so one counting table serves the block
     keys = rank + (np.arange(n) * (h * w))[:, None, None]
-    c = _contour_mask(keys, np.sort(keys[t == T_SADDLE]))
-    return np.stack([block, t, np.where(t != T_REGULAR, block, 0.0), c.astype(np.float64)], axis=1)
+    c = _contour_mask(keys, keys[t == T_SADDLE])
+    out[:, 0] = block
+    out[:, 1] = t
+    out[:, 2] = 0.0
+    np.copyto(out[:, 2], block, where=t != T_REGULAR)
+    out[:, 3] = c
+    return out
 
 
 def _check_normalized(values: np.ndarray) -> None:
@@ -137,7 +164,7 @@ def extract_saddle_contours(field, saddles: list[CriticalPoint]) -> ScalarField:
         if not (0 <= s.row < h and 0 <= s.col < w):
             raise FormatError(f"saddle ({s.row}, {s.col}) lies outside the {h}x{w} grid")
     rank = vertex_ranks(values)[0].reshape(h, w)
-    levels = np.sort(np.array([rank[s.row, s.col] for s in saddles], dtype=rank.dtype))
+    levels = np.array([rank[s.row, s.col] for s in saddles], dtype=rank.dtype)
     return ScalarField(_contour_mask(rank, levels).astype(np.float64))
 
 
@@ -145,7 +172,7 @@ def build_structural_channels(field: ScalarField) -> MultiChannelField:
     """Assemble the 4-channel representation of one normalized field."""
     values = as_values(field)
     _check_normalized(values)
-    block = _channels(values[None])[0]
+    block = _channels(values[None], np.empty((1, 4) + values.shape))[0]
     block.setflags(write=False)
     return MultiChannelField(block)
 
@@ -164,7 +191,7 @@ def build_structural_stack(stack: FieldStack, threads: int | None = None) -> Fie
     out = np.empty((n, 4, h, w))
 
     def fill(chunk: slice) -> None:
-        out[chunk] = _channels(values[chunk])
+        _channels(values[chunk], out[chunk])
 
     map_chunks(fill, n, h * w, threads)
     return FieldStack._adopt(stack.dates, out)

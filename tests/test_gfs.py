@@ -81,6 +81,15 @@ def test_file_round_trip(tmp_path):
     assert np.array_equal(back.values, stack.values.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("stack", [tiny_stack(), tiny_stack(channels=4), FieldStack((), np.empty((0, 4, 3, 5)))],
+                         ids=["one-channel", "four-channel", "empty"])
+def test_written_file_equals_stack_to_bytes(tmp_path, stack):
+    path = tmp_path / "stack.gfs"
+    path.write_bytes(b"an older, longer file at the same path" * 4)
+    write_stack(stack, path)
+    assert path.read_bytes() == stack_to_bytes(stack)
+
+
 @pytest.mark.parametrize("days", [2**62, -10**7, 2**63 - 1, -2**63,
                                   date_to_days(dt.date.min) - 1, date_to_days(dt.date.max) + 1])
 def test_day_count_outside_the_calendar_rejected(days):

@@ -43,6 +43,7 @@ from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
 from topofield.metrics import _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
 from topofield.field import _CHUNK_CELLS
+from topofield.order import vertex_ranks
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
 
@@ -492,6 +493,52 @@ def test_bottleneck_enumerates_rows_above_the_lower_bound_only(monkeypatch):
 # Structural channels
 
 
+def stable_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    flat = values.reshape(values.shape[:-2] + (-1,))
+    order = np.argsort(flat, axis=-1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(flat.shape[-1]), axis=-1)
+    return rank, order
+
+
+def tie_mix_batch(rng, shape, n) -> np.ndarray:
+    """n grids cycling through distinct values, small-integer ties, signed zeros and constants."""
+    grids = []
+    for k in range(n):
+        kind = k % 4
+        if kind == 0:
+            g = rng.uniform(-1.0, 1.0, size=shape)
+        elif kind == 1:
+            g = rng.integers(0, 3, size=shape) / 2.0
+        elif kind == 2:
+            g = rng.choice([-0.0, 0.0, 0.5, -0.5], size=shape)
+        else:
+            g = np.full(shape, rng.choice([0.0, -0.0, 0.25]))
+        grids.append(g)
+    return np.stack(grids)
+
+
+def test_vertex_ranks_equal_a_stable_argsort():
+    rng = np.random.default_rng(45)
+    batches = [tie_mix_batch(rng, shape, n) for shape in ((3, 3), (3, 17), (17, 3), (3, 64), (64, 3)) for n in (1, 4, 9)]
+    batches.append(tie_mix_batch(rng, (5, 7), 12).reshape(3, 4, 5, 7))  # two batch axes
+    batches.append(tie_mix_batch(rng, (3, 5), 1)[0])  # no batch axis
+    rough = np.stack([rough_field(), np.round(rough_field(), 3), 1.0 - rough_field()])
+    batches.append(rough.astype(np.float32).astype(np.float64))
+    tied_rows = untied_rows = 0
+    for values in batches:
+        rank, order = vertex_ranks(values)
+        want_rank, want_order = stable_ranks(values)
+        assert rank.shape == order.shape == values.shape[:-2] + (values.shape[-2] * values.shape[-1],)
+        assert np.array_equal(order, want_order), values
+        assert np.array_equal(rank, want_rank), values
+        for row in values.reshape((-1,) + values.shape[-2:]):
+            distinct = np.unique(row).size
+            tied_rows += distinct < row.size
+            untied_rows += distinct == row.size
+    assert tied_rows > 50 and untied_rows > 10, (tied_rows, untied_rows)
+
+
 def small_rough_field(shape=(24, 32)) -> np.ndarray:
     """A rough field with a few hundred saddles, small enough for the oracles."""
     noise = np.random.default_rng(0).standard_normal(shape)
@@ -512,6 +559,27 @@ def test_contours_of_every_saddle_match_straddle_oracle():
     for s in saddles:
         expected |= straddle_mask(f, (s.row, s.col))
     assert np.array_equal(extract_saddle_contours(f, saddles).values.astype(bool), expected)
+
+
+def test_stack_contours_match_straddle_oracle_field_by_field():
+    rng = np.random.default_rng(46)
+    shape = (16, 20)
+    fields = []
+    for k in range(6):  # a few saddles each, so that no field's mask is all ones; odd fields tie-heavy
+        f = _smooth_field((7, k), shape) + 0.01 * rng.standard_normal(shape)
+        f = np.round(f, 1) if k % 2 else f
+        fields.append((f - f.min()) / (f.max() - f.min()))
+    assert len(fields) * shape[0] * shape[1] <= _CHUNK_CELLS  # one kernel call: ranks offset per field
+    got = build_structural_stack(date_stack(fields), threads=1).values
+    for k, f in enumerate(fields):
+        saddles = [(p.row, p.col) for p in classify_critical_points(f) if p.kind is CriticalKind.SADDLE]
+        assert saddles, k  # every field adds levels to the block's table, the first and the last too
+        assert saddles == [(int(r), int(c)) for r, c in zip(*np.nonzero(got[k, 1] == T_SADDLE))]
+        expected = np.zeros(shape, dtype=bool)
+        for rc in saddles:
+            expected |= straddle_mask(f, rc)
+        assert 0.1 < expected.mean() < 0.9, k
+        assert np.array_equal(got[k, 3], expected.astype(np.float64)), k
 
 
 def test_contours_of_boundary_and_duplicate_saddles_match_oracle():
