@@ -3,6 +3,9 @@
 One executable, subcommand style. Outputs are written only to paths given
 by flags; with --json a single JSON result object goes to stdout. Exit
 codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+--config PATH, before or after the command, supplies flag defaults from a
+JSON object (explicit flags win); it may be repeated, later files win, and
+it must be spelled in full.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .field import (
     compute_norm_stats,
     denormalize_stack,
     denormalized,
-    normalize,
     normalize_stack,
+    normalized,
 )
 from .fusion import RegWeights, _regularizer, add_residual, blend
 from .losses import GateSchedule, LossWeights, content_loss, hinge_d, hinge_g, loss_report, topo_loss
@@ -50,8 +53,6 @@ from .persistence import (
 from .structural import build_structural_stack
 from .synthetic import ClimateSpec, generate_climate
 from .temporal import LeadTime, build_sample, manifest_line, sample_lead_times, validate_split
-
-THREADS_ENV = "TOPOFIELD_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +139,8 @@ def _parse_date(s: str) -> dt.date:
 
 
 def _resolve_threads(args) -> int:
-    """--threads (or its config value), else $TOPOFIELD_THREADS, else all cores."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise FormatError(f"{THREADS_ENV} {exc}") from None
-    return os.cpu_count() or 1
+    """--threads (or its config value), else all cores."""
+    return args.threads or os.cpu_count() or 1
 
 
 def _read_json(path, what: str):
@@ -258,9 +251,9 @@ def _cmd_persistence(args) -> dict:
     stack = gfs.read_stack(args.input)
     stats = _load_stats(args.stats) if args.stats else None
     idx = _pick_date(stack, args.date, "input stack")
-    field = stack.field(idx)
+    field = stack.values[idx, 0]
     if stats is not None:
-        field = normalize(field, stats)  # elementwise: the picked date alone needs it
+        field = normalized(field, stats)  # elementwise: the picked date alone needs it
     dims = [args.dim] if args.dim is not None else [0, 1]
     diagrams = [sublevel_persistence(field, d) for d in dims]
     if args.min_persistence > 0:
@@ -471,9 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="print a single JSON result object")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help=f"worker threads (default: {THREADS_ENV} or all cores)")
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON file of flag defaults; explicit flags win")
+                       help="worker threads (default: all cores)")
 
     p = sub.add_parser("stats", help="compute normalization percentiles from training years")
     p.add_argument("--input", required=True)
@@ -618,28 +609,18 @@ def _human(result: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _pop_config(argv: list[str]) -> dict:
-    """Remove --config [PATH] from argv and load the JSON it names."""
+def _split_config(argv: list[str]) -> tuple[dict, list[str]]:
+    """The merged JSON objects of every --config PATH (later files win), and the other arguments."""
+    pre = _Parser(prog="topofield", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", action="append", metavar="PATH", default=[])
+    known, rest = pre.parse_known_args(argv)
     config: dict = {}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise FormatError("--config needs a path")
-            path = argv[i + 1]
-            del argv[i : i + 2]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            del argv[i]
-        else:
-            i += 1
-            continue
+    for path in known.config:
         loaded = _read_json(path, "config file")
         if not isinstance(loaded, dict):
             raise FormatError("config file must hold a JSON object")
         config.update(loaded)
-    return config
+    return config, rest
 
 
 def _subparsers(parser: argparse.ArgumentParser):
@@ -686,10 +667,11 @@ def _fail(code: str, exc: Exception) -> int:
 
 
 def run(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        config = _pop_config(argv)
+        config, argv = _split_config(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # --config without a path
+        return int(exc.code or 0)
     except (TopofieldError, FileNotFoundError) as exc:
         return _fail("config", exc)
     except OSError as exc:

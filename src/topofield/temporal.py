@@ -52,7 +52,7 @@ class DualSample:
     intra_dates: tuple[dt.date, dt.date, dt.date]
     inter_inputs: np.ndarray  # read-only (3, 4, h, w): [SF, T, V, C] of each input date
     intra_inputs: np.ndarray
-    target: ScalarField
+    target: np.ndarray  # read-only (h, w): SF on the target date, a view of the stack
 
     def __post_init__(self):
         for d in self.inter_dates + self.intra_dates:
@@ -111,7 +111,7 @@ def build_sample(stack: FieldStack, t: dt.date, tau: LeadTime) -> DualSample:
     missing = [d for d, i in zip(needed, idx) if i is None]
     if missing:
         raise MissingDate(missing)
-    target = stack.field(idx[6], 0)
+    target = stack.values[idx[6], 0]
     inputs = stack.values[idx[:6]]
     _check_codes(inputs[:, 1], inputs[:, 3])
     inputs.setflags(write=False)
@@ -122,15 +122,14 @@ def validate_split(sample: DualSample, split: SplitSpec, role: str) -> bool:
     """No-leakage check for a sample under the year-disjoint split.
 
     True when the target year belongs to the role's year set and every
-    input date precedes the target; training samples additionally need all
-    input years inside the training set.
+    input date precedes the target (a DualSample cannot hold one that does
+    not); training samples additionally need all input years inside the
+    training set.
     """
     if role not in ("train", "test"):
         raise FormatError(f"role must be 'train' or 'test', got {role!r}")
     years = split.train_years if role == "train" else split.test_years
     if sample.target_date.year not in years:
-        return False
-    if any(d >= sample.target_date for d in sample.input_dates):
         return False
     if role == "train" and any(d.year not in split.train_years for d in sample.input_dates):
         return False

@@ -15,14 +15,17 @@ from topofield import (
     bottleneck_distance,
     denormalize,
     entropy_term,
+    filter_by_persistence,
     fuse,
     l_reg,
     make_eval_record,
     mean_balance,
+    normalize,
     read_diagram_csv,
     stack_to_bytes,
     sublevel_persistence,
     tv,
+    write_diagram_csv,
 )
 from topofield.cli import run
 from topofield.errors import OutOfRange
@@ -241,9 +244,10 @@ def test_stratify_reference_bins(tmp_path, capsys):
     dates = (dt.date(2020, 1, 15),)
     write_stack(FieldStack(dates, lam[None, None]), tmp_path / "lam.gfs")
     write_stack(FieldStack(dates, err[None, None]), tmp_path / "err.gfs")
+    out = tmp_path / "strat.csv"
     code = run([
         "stratify", "--lambda", str(tmp_path / "lam.gfs"), "--rmse", str(tmp_path / "err.gfs"),
-        "--bins", "3,4,5", "--season", "DJF", "--json",
+        "--bins", "3,4,5", "--season", "DJF", "--output", str(out), "--json",
     ])
     assert code == 0
     result = json.loads(capsys.readouterr().out)
@@ -253,6 +257,11 @@ def test_stratify_reference_bins(tmp_path, capsys):
     assert result["medians"] == quantized
     assert result["delta"] == pytest.approx(0.055, abs=1e-6)
     assert result["bins"] == ["3-", "3-4", "4-5", "5+"]
+    assert out.read_text() == (
+        "season,median_3-,median_3-4,median_4-5,median_5+,delta,n_3-,n_3-4,n_4-5,n_5+\n"
+        "DJF,0.68699997663497925,0.69800001382827759,0.7369999885559082,0.74199998378753662,"
+        "0.055000007152557373,12,12,12,12\n"
+    )
 
 
 CLIMATE_SPEC = {
@@ -298,6 +307,38 @@ def test_sample_command(tmp_path, capsys):
     assert line[0] == "2013-06-01" and line[1] == "45"
 
 
+SPLIT_MANIFESTS = {
+    ("count", "train"): "2013-03-09,58,2010-03-09,2011-03-09,2012-03-09,2012-09-16,2012-11-13,2013-01-10\n"
+                        "2013-03-31,61,2010-03-31,2011-03-31,2012-03-31,2012-09-29,2012-11-29,2013-01-29\n"
+                        "2013-01-12,76,2010-01-12,2011-01-12,2012-01-12,2012-05-29,2012-08-13,2012-10-28\n",
+    ("count", "test"): "2014-04-03,58,2011-04-03,2012-04-03,2013-04-03,2013-10-11,2013-12-08,2014-02-04\n"
+                       "2014-01-25,61,2011-01-25,2012-01-25,2013-01-25,2013-07-26,2013-09-25,2013-11-25\n"
+                       "2014-07-25,76,2011-07-25,2012-07-25,2013-07-25,2013-12-09,2014-02-23,2014-05-10\n",
+    ("date", "train"): "2013-06-01,45,2010-06-01,2011-06-01,2012-06-01,2013-01-17,2013-03-03,2013-04-17\n",
+    ("date", "test"): None,  # a 2013 target is not a test sample
+}
+
+
+def test_sample_with_a_split_keeps_only_the_role_s_samples(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**CLIMATE_SPEC, "n_years": 5}))
+    raw, stats, x = tmp_path / "climate.gfs", tmp_path / "stats.json", tmp_path / "x.gfs"
+    assert run(["synth", "--spec", str(spec), "--output", str(raw)]) == 0
+    assert run(["stats", "--input", str(raw), "--train-years", "2010-2013", "--output", str(stats)]) == 0
+    assert run(["channels", "--input", str(raw), "--stats", str(stats), "--output", str(x)]) == 0
+    capsys.readouterr()
+    modes = {"count": ["--count", "3"], "date": ["--date", "2013-06-01", "--tau", "45"]}
+    for (mode, role), want in SPLIT_MANIFESTS.items():
+        manifest = tmp_path / f"{mode}-{role}.txt"
+        code = run(["sample", "--input", str(x), *modes[mode], "--train-years", "2010-2013",
+                    "--test-years", "2014", "--role", role, "--output", str(manifest)])
+        if want is None:
+            assert code == 1 and not manifest.exists()
+            assert capsys.readouterr().err == "error [format_error]: sample fails split validation for role test\n"
+        else:
+            assert code == 0 and manifest.read_text() == want
+
+
 def test_unknown_flag_is_usage_error(raw_stack):
     assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--bogus"]) == 2
 
@@ -318,14 +359,12 @@ def test_bad_magic_is_exit_1(tmp_path, capsys):
     assert "bad_magic" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, raw_stack, stats_file, monkeypatch):
-    out1 = tmp_path / "x1.gfs"
-    out2 = tmp_path / "x2.gfs"
-    monkeypatch.setenv("TOPOFIELD_THREADS", "2")
-    assert run(["channels", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(out1)]) == 0
-    monkeypatch.setenv("TOPOFIELD_THREADS", "1")
-    assert run(["channels", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_threads_do_not_change_channels_output(tmp_path):
+    raw = make_norm_stack(tmp_path, "raw.gfs", n=40, shape=(64, 64), seed=12)  # three chunks of dates
+    outs = [tmp_path / f"x{threads}.gfs" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        assert run(["channels", "--input", str(raw), "--output", str(out), "--threads", str(threads)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_config_file_supplies_defaults(tmp_path, raw_stack, capsys):
@@ -356,6 +395,64 @@ def test_unknown_config_key_is_usage_error(tmp_path, raw_stack, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
     assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 2
+
+
+def _seed_configs(tmp_path, *seeds):
+    """A climate spec with seed 11, and one config file per seed that overrides it."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CLIMATE_SPEC))
+    configs = [tmp_path / f"cfg{k}.json" for k in range(len(seeds))]
+    for cfg, seed in zip(configs, seeds):
+        cfg.write_text(json.dumps({"seed": seed}))
+    return spec, configs
+
+
+@pytest.mark.parametrize("flag", ["--conf", "--confi"])
+def test_config_abbreviation_is_usage_error(tmp_path, flag, capsys):
+    spec, (cfg,) = _seed_configs(tmp_path, 9)
+    out = tmp_path / "c.gfs"
+    assert run(["synth", "--spec", str(spec), "--output", str(out), flag, str(cfg)]) == 2
+    assert f"error [usage]: unrecognized arguments: {flag} {cfg}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_without_a_path_is_usage_error(raw_stack, capsys):
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config"]) == 2
+    assert capsys.readouterr().err.endswith("error [usage]: argument --config: expected one argument\n")
+
+
+def test_config_equals_form_loads_and_later_files_win(tmp_path, capsys):
+    spec, (nine, five) = _seed_configs(tmp_path, 9, 5)
+    out = tmp_path / "c.gfs"
+    for argv, seed in ((["--config=" + str(nine)], 9),
+                       (["--config=" + str(five), "--config", str(nine)], 9),
+                       (["--config", str(nine), "--config=" + str(five)], 5)):
+        assert run(["synth", "--spec", str(spec), "--output", str(out), "--json"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+
+def test_synth_seed_overrides_the_spec_seed(tmp_path, capsys):
+    spec, _ = _seed_configs(tmp_path)
+    spec9 = tmp_path / "spec9.json"
+    spec9.write_text(json.dumps({**CLIMATE_SPEC, "seed": 9}))
+    out, want, spec_seed = tmp_path / "out.gfs", tmp_path / "want.gfs", tmp_path / "spec_seed.gfs"
+    assert run(["synth", "--spec", str(spec), "--seed", "9", "--output", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 9
+    assert run(["synth", "--spec", str(spec9), "--output", str(want)]) == 0
+    assert run(["synth", "--spec", str(spec), "--output", str(spec_seed)]) == 0
+    assert out.read_bytes() == want.read_bytes() != spec_seed.read_bytes()
+
+
+def test_persistence_min_persistence_filters_the_library_diagrams(tmp_path, raw_stack, stats_file, capsys):
+    out, want = tmp_path / "pd.csv", tmp_path / "want.csv"
+    assert run(["persistence", "--input", str(raw_stack), "--date", "2015-01-04", "--stats", str(stats_file),
+                "--min-persistence", "0.05", "--output", str(out)]) == 0
+    field = normalize(read_stack(raw_stack).field(3), NormStats(**json.loads(stats_file.read_text())))
+    full = [sublevel_persistence(field, dim) for dim in (0, 1)]
+    kept = [filter_by_persistence(pd, 0.05) for pd in full]
+    write_diagram_csv(want, kept)
+    assert out.read_bytes() == want.read_bytes()
+    assert 0 < sum(map(len, kept)) < sum(map(len, full))
 
 
 def test_persistence_normalize_first(tmp_path, raw_stack, stats_file, capsys):
@@ -848,3 +945,37 @@ def test_gfs_date_outside_the_calendar_is_exit_1(tmp_path, days):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error [format_error]: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["four-channel", "no-date", "absent-date", "fuse-dates", "evaluate-dates",
+                                  "sample-mode", "config-array", "scores-of-strings"])
+def test_bad_input_is_exit_1_with_its_message(tmp_path, raw_stack, case, capsys):
+    a = make_norm_stack(tmp_path, "a.gfs", n=3, seed=60)
+    b = make_norm_stack(tmp_path, "b.gfs", n=3, seed=61, start=dt.date(2020, 1, 2))
+    x4, stats, strings = tmp_path / "x4.gfs", tmp_path / "stats.json", tmp_path / "strings.json"
+    write_stack(FieldStack(read_stack(a).dates, np.zeros((3, 4, 12, 14))), x4)
+    stats.write_text(json.dumps({"p1": 0.0, "p99": 1.0}))
+    strings.write_text(json.dumps([["a"]]))  # a JSON array, but not of numbers
+    out = tmp_path / "out.gfs"
+    argv, err = {
+        "four-channel": (["channels", "--input", str(x4), "--output", str(out)],
+                         "error [format_error]: channel input must be a 1-channel stack, got 4 channels"),
+        "no-date": (["persistence", "--input", str(raw_stack)],
+                    "error [format_error]: input stack holds 8 dates; pick one with --date"),
+        "absent-date": (["persistence", "--input", str(raw_stack), "--date", "2016-01-01"],
+                        "error [format_error]: input stack has no field for 2016-01-01"),
+        "fuse-dates": (["fuse", "--inter", str(a), "--intra", str(b), "--lambda", str(a), "--output", str(out)],
+                       "error [format_error]: --inter and --intra stacks cover different dates"),
+        "evaluate-dates": (["evaluate", "--pred", str(a), "--truth", str(b), "--clim", str(a), "--stats", str(stats)],
+                           "error [format_error]: --pred and --truth stacks cover different dates"),
+        "sample-mode": (["sample", "--input", str(x4)],
+                        "error [format_error]: provide --date and --tau, or --count for batch sampling"),
+        "config-array": (["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(strings)],
+                         "error [config]: config file must hold a JSON object"),
+        "scores-of-strings": (["losses", "--pred", str(a), "--truth", str(a), "--date", "2020-01-01",
+                               "--fake-scores", str(strings)],
+                              f"error [format_error]: scores file {strings} must hold an array of numbers"),
+    }[case]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()

@@ -109,7 +109,8 @@ class TestBuildSample:
         stack = make_4ch_stack()
         sample = build_sample(stack, d("2020-06-01"), LeadTime(45))
         idx = stack.index_of(d("2020-06-01"))
-        assert np.array_equal(sample.target.values, stack.values[idx, 0])
+        assert np.array_equal(sample.target, stack.values[idx, 0])
+        assert np.shares_memory(sample.target, stack.values) and not sample.target.flags.writeable
 
     def test_needs_4_channels(self):
         stack = make_4ch_stack()
