@@ -692,6 +692,8 @@ def run(argv=None) -> int:
         return _fail("missing_file", exc)
     except OSError as exc:
         return _fail("io_error", exc)
+    except MemoryError as exc:  # an input too large for this host
+        return _fail("out_of_memory", exc if str(exc) else "not enough memory")
     _emit(result, args, _human(result))
     return 0
 

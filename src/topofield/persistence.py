@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +34,8 @@ from .field import as_values
 from .order import vertex_ranks
 
 INF = math.inf
-_WINDOW_CHUNK = 1 << 16  # birth-window entries the bottleneck examines per block of rows
+_WINDOW_CHUNK = 1 << 16  # window entries the bottleneck examines per block of rows
+_STRIP = 64  # points per birth strip of the bottleneck's column index
 _ROW_BLOCK = 128  # rows whose relevant edges the bottleneck builds at a time
 
 # Recorded in machine-readable outputs for provenance.
@@ -46,30 +47,51 @@ FILTRATION_CONFIG = {
 }
 
 
-@dataclass(frozen=True)
 class PersistenceDiagram:
-    """Multiset of (birth, death) intervals for one homology dimension."""
+    """Multiset of (birth, death) intervals for one homology dimension.
 
-    dim: int
-    pairs: tuple[tuple[float, float], ...]
+    The pairs live in ``array``, one read-only (n, 2) float64 array sorted by
+    birth, then death. The sort is stable, so pairs that compare equal (-0.0
+    and 0.0 included) keep their input order. ``pairs`` is the same multiset
+    as a tuple of (birth, death) tuples.
+    """
 
-    def __post_init__(self):
-        if self.dim not in (0, 1):
-            raise DimensionMismatch(f"homology dimension must be 0 or 1, got {self.dim}")
-        clean = []
-        for b, d in self.pairs:
-            b = float(b)
-            d = float(d)
+    def __init__(self, dim: int, pairs):
+        if dim not in (0, 1):
+            raise DimensionMismatch(f"homology dimension must be 0 or 1, got {dim}")
+        arr = np.asarray(pairs, dtype=np.float64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise FormatError(f"pairs must be (birth, death) pairs, got an array of shape {arr.shape}")
+        birth, death = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero(~np.isfinite(birth) | ~(death >= birth))
+        if bad.size:  # the first bad pair in input order, birth checked first
+            b, d = arr[bad[0]].tolist()
             if not math.isfinite(b):
                 raise FormatError(f"birth {b!r} is not finite")
-            if not d >= b:
-                raise FormatError(f"death {d!r} precedes birth {b!r}")
-            clean.append((b, d))
-        clean.sort(key=lambda p: (p[0], p[1]))
-        object.__setattr__(self, "pairs", tuple(clean))
+            raise FormatError(f"death {d!r} precedes birth {b!r}")
+        self.dim = dim
+        self.array = arr[np.lexsort((death, birth))]
+        self.array.flags.writeable = False
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.array[:, 0].tolist(), self.array[:, 1].tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.array)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"PersistenceDiagram(dim={self.dim!r}, pairs={self.pairs!r})"
 
     @property
     def finite_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -197,8 +219,8 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
     return all_steps[by_step], np.concatenate([*dead, np.array(tail_dead, dtype=np.int64)])[by_step]
 
 
-def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
-    """H0 pairs: ascending edge sweep over the vertices, whose ranks are their ages."""
+def _h0_union_find(values: np.ndarray) -> np.ndarray:
+    """H0 pairs as an (n, 2) array: ascending edge sweep over the vertices, whose ranks are their ages."""
     rank, vals = _ranked(values)
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
@@ -208,12 +230,13 @@ def _h0_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     keep = dead != death
     alive = np.ones(rank.size, dtype=bool)
     alive[dead] = False
-    pairs = list(zip(vals[dead[keep]].tolist(), vals[death[keep]].tolist()))
-    return pairs + [(b, INF) for b in vals[alive].tolist()]
+    finite = np.stack([vals[dead[keep]], vals[death[keep]]], 1)
+    essential = np.stack([vals[alive], np.full(np.count_nonzero(alive), INF)], 1)
+    return np.concatenate([finite, essential])
 
 
-def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
-    """H1 pairs as H0 of the dual graph, swept from the top of the filtration.
+def _h1_union_find(values: np.ndarray) -> np.ndarray:
+    """H1 pairs as an (n, 2) array: H0 of the dual graph, swept from the top of the filtration.
 
     The dual graph joins the two unit squares on either side of every edge;
     a boundary edge leads to one outer face. Edges are swept in descending
@@ -243,7 +266,7 @@ def _h1_union_find(values: np.ndarray) -> list[tuple[float, float]]:
     birth = edge_rank[order[steps[by_square]]]
     death = sq_rank[sq_order[n_sq - dead[by_square]]]
     keep = birth != death
-    return list(zip(vals[birth[keep]].tolist(), vals[death[keep]].tolist()))
+    return np.stack([vals[birth[keep]], vals[death[keep]]], 1)
 
 
 def _reduce_columns(columns: Iterable[int]) -> dict[int, tuple[int, int]]:
@@ -269,9 +292,9 @@ def sublevel_persistence(field, dim: int) -> PersistenceDiagram:
     """
     values = as_values(field)
     if dim == 0:
-        return PersistenceDiagram(0, tuple(_h0_union_find(values)))
+        return PersistenceDiagram(0, _h0_union_find(values))
     if dim == 1:
-        return PersistenceDiagram(1, tuple(_h1_union_find(values)))
+        return PersistenceDiagram(1, _h1_union_find(values))
     raise DimensionMismatch(f"dimension must be 0 or 1, got {dim}")
 
 
@@ -321,10 +344,10 @@ def filter_by_persistence(pd: PersistenceDiagram, min_persistence: float) -> Per
     """Drop finite pairs with death - birth < min_persistence; keep essentials."""
     if not min_persistence >= 0:
         raise FormatError(f"min_persistence must be a nonnegative number, got {min_persistence!r}")
-    kept = tuple(
-        (b, d) for b, d in pd.pairs if math.isinf(d) or d - b >= min_persistence
-    )
-    return PersistenceDiagram(pd.dim, kept)
+    birth, death = pd.array[:, 0], pd.array[:, 1]
+    with np.errstate(over="ignore"):
+        keep = np.isinf(death) | (death - birth >= min_persistence)
+    return PersistenceDiagram(pd.dim, pd.array[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +467,66 @@ class _Cover:
         return False
 
 
+class _Strips:
+    """The column side of the bottleneck, indexed for birth x death windows.
+
+    The points are sorted by birth and cut into strips of _STRIP points;
+    inside a strip they are ordered by death rank, under the key
+    strip * (n + 1) + death rank. The points whose death rank lies in
+    [lo, hi) are then one run of keys in each strip.
+    """
+
+    def __init__(self, q: np.ndarray):
+        n = len(q)
+        by_birth = np.argsort(q[:, 0], kind="stable")
+        death_rank = _inverse(np.argsort(q[:, 1], kind="stable"))
+        key = np.arange(n) // _STRIP * (n + 1) + death_rank[by_birth]
+        order = np.argsort(key)  # the keys are distinct
+        self.sorted_births = q[by_birth, 0]
+        self.sorted_deaths = np.sort(q[:, 1])
+        self.key = key[order]
+        self.cols = by_birth[order].astype(np.int32)
+        self.births, self.deaths = q[self.cols, 0], q[self.cols, 1]  # in key order
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+
 @np.errstate(over="ignore")
-def _near_edges(p: np.ndarray, half_p: np.ndarray, q: np.ndarray, order: np.ndarray):
+def _near_edges(p: np.ndarray, half_p: np.ndarray, q: _Strips):
     """Rows (in order), columns and L-infinity distances d of the pairs with d < half_p[row].
 
-    ``order`` is the stable birth order of q. Candidates are the inclusive
-    birth windows, which rounding never narrows: fl(|y - b|) < h means
-    |y - b| < h exactly, so fl(b - h) <= y <= fl(b + h). A window end or a
-    distance that overflows to inf keeps that true, and such a distance is
-    never relevant.
+    Candidates lie in the inclusive birth and death windows, which rounding
+    never narrows: fl(|y - b|) < h means |y - b| < h exactly, so
+    fl(b - h) <= y <= fl(b + h), and the same holds for deaths. A window end
+    or a distance that overflows to inf keeps that true, and such a distance
+    is never relevant. Each row scans the death window of every strip its
+    birth window touches; the points of the end strips that lie outside the
+    birth window have fl(|y - b|) >= h, and the test d < h drops them.
     """
-    births, deaths = q[order, 0], q[order, 1]
     p_births, p_deaths = p[:, 0], p[:, 1]
-    start = np.searchsorted(births, p_births - half_p, "left")
-    count = np.searchsorted(births, p_births + half_p, "right") - start
+    first = np.searchsorted(q.sorted_births, p_births - half_p, "left") // _STRIP
+    stop = -(-np.searchsorted(q.sorted_births, p_births + half_p, "right") // _STRIP)
+    n_strips = np.maximum(stop - first, 0)
+    r_lo = np.searchsorted(q.sorted_deaths, p_deaths - half_p, "left")
+    r_hi = np.searchsorted(q.sorted_deaths, p_deaths + half_p, "right")
+    # one segment per (row, strip): the row's death window in that strip
+    row = np.repeat(np.arange(len(p), dtype=np.int32), n_strips)
+    strip = np.arange(row.size) + np.repeat(first - (np.cumsum(n_strips) - n_strips), n_strips)
+    base = strip * (len(q) + 1)
+    start = np.searchsorted(q.key, base + r_lo[row])
+    count = np.searchsorted(q.key, base + r_hi[row]) - start
     cuts = np.searchsorted(np.cumsum(count), np.arange(_WINDOW_CHUNK, count.sum(), _WINDOW_CHUNK), "right")
-    bounds = [0, *cuts.tolist(), len(p)]
+    bounds = [0, *cuts.tolist(), row.size]
     parts = []
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        c = count[r0:r1]
-        i = np.repeat(np.arange(r0, r1, dtype=np.int32), c)
-        k = np.arange(i.size) + np.repeat(start[r0:r1] - (np.cumsum(c) - c), c)  # positions in birth order
-        d = np.abs(p_births[i] - births[k])
-        np.maximum(d, np.abs(p_deaths[i] - deaths[k]), out=d)
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        c = count[s0:s1]
+        i = np.repeat(row[s0:s1], c)
+        k = np.arange(i.size) + np.repeat(start[s0:s1] - (np.cumsum(c) - c), c)  # positions in key order
+        d = np.abs(p_births[i] - q.births[k])
+        np.maximum(d, np.abs(p_deaths[i] - q.deaths[k]), out=d)
         keep = d < half_p[i]
-        parts.append((i[keep], order[k[keep]], d[keep]))
+        parts.append((i[keep], q.cols[k[keep]], d[keep]))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
@@ -498,7 +556,7 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     # such a row cannot raise lb, is never forced at t >= lb, and its
     # distances lie below lb, so the search never needs its edges.
     sides = [_by_half(a), _by_half(b)]
-    orders = [np.argsort(arr[:, 0], kind="stable").astype(np.int32) for arr, _ in sides]
+    strips = [_Strips(arr) for arr, _ in sides]
     empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
     edges = [[empty], [empty]]
     seen = [0, 0]
@@ -510,7 +568,7 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
             break
         (p, half), r0 = sides[s], seen[s]
         r1 = r0 + int(np.count_nonzero(half[r0:r0 + _ROW_BLOCK] > lb))
-        rows, cols, d = _near_edges(p[r0:r1], half[r0:r1], sides[1 - s][0], orders[1 - s])
+        rows, cols, d = _near_edges(p[r0:r1], half[r0:r1], strips[1 - s])
         pay = half[r0:r1].copy()
         np.minimum.at(pay, rows, d)
         lb = max(lb, pay.max())
@@ -552,7 +610,7 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")
-    pa, pb = (np.array(pd.pairs, dtype=np.float64).reshape(len(pd), 2) for pd in (a, b))
+    pa, pb = a.array, b.array
     fin_a, fin_b = np.isfinite(pa[:, 1]), np.isfinite(pb[:, 1])
     ess_a, ess_b = np.sort(pa[~fin_a, 0]), np.sort(pb[~fin_b, 0])
     if ess_a.size != ess_b.size:
@@ -586,7 +644,10 @@ def write_diagram_csv(path, diagrams: Iterable[PersistenceDiagram]) -> None:
 
 def read_diagram_csv(path) -> dict[int, PersistenceDiagram]:
     """Parse a diagram CSV into one diagram per dimension present."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"diagram CSV {path} is not text: {exc}") from None
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
     if header != ["dim", "birth", "death"]:

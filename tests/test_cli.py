@@ -1,19 +1,26 @@
+import contextlib
 import datetime as dt
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topofield import (
     FieldStack,
     LambdaMap,
     NormStats,
+    PersistenceDiagram,
     RegWeights,
     apply_residual,
     bottleneck_distance,
     denormalize,
+    diagrams_to_csv,
     entropy_term,
     filter_by_persistence,
     fuse,
@@ -27,6 +34,7 @@ from topofield import (
     tv,
     write_diagram_csv,
 )
+from topofield import cli
 from topofield.cli import run
 from topofield.errors import OutOfRange
 from topofield.gfs import read_stack, write_stack
@@ -725,6 +733,78 @@ def test_directory_path_is_io_error(tmp_path, raw_stack, case, capsys):
 def test_missing_input_keeps_missing_file_code(tmp_path, capsys):
     assert run(["stats", "--input", str(tmp_path / "nope.gfs"), "--train-years", "2015"]) == 1
     assert "error [missing_file]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 43.5 GiB for an array with shape (4, 2000, 2000)"), "Unable to allocate 43.5 GiB"),
+    (MemoryError(), "not enough memory"),
+])
+def test_memory_error_is_exit_1_without_traceback(monkeypatch, raw_stack, exc, message, capsys):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", exhausted)
+    assert run(["stats", "--input", str(raw_stack), "--train-years", "2015"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [out_of_memory]: {message}") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Diagram CSVs: mutated files exit cleanly, valid ones round-trip
+
+DIAGRAM_CSV = b"dim,birth,death\n0,0.10000000000000001,inf\n0,0.25,0.5\n1,0.125,0.75\n1,-0,0.625\n"
+CSV_PIECES = [b"0", b"1", b"9", b".", b",", b"-", b"e", b"inf", b"nan", b"1e400", b"\n", b"\r", b" ", b'"',
+              b"\x00", b"\xff", b"dim,birth,death"]
+
+
+@st.composite
+def mutated_csv(draw) -> bytes:
+    data = bytearray(DIAGRAM_CSV)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        if kind == "insert":
+            data[at:at] = draw(st.sampled_from(CSV_PIECES))
+        elif kind == "replace":
+            data[at:at + 1] = draw(st.sampled_from(CSV_PIECES))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@given(blob=mutated_csv())
+@settings(max_examples=50, deadline=None)
+def test_mutated_diagram_csv_exits_cleanly(tmp_path_factory, blob):
+    tmp = tmp_path_factory.mktemp("csv")
+    good, bad = tmp / "good.csv", tmp / "bad.csv"
+    good.write_bytes(DIAGRAM_CSV)
+    bad.write_bytes(blob)
+    for args in ([str(good), str(bad)], [str(bad), str(good)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["bottleneck", *args, "--dim", "1"])
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("error [") == (code != 0) and "Traceback" not in err.getvalue()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from([1, 0]), finite, finite | st.just(math.inf)), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_valid_diagram_csv_round_trips_byte_identically(tmp_path_factory, rows):
+    by_dim = {}
+    for dim, birth, x in rows:
+        by_dim.setdefault(dim, []).append((birth, max(birth, x)))
+    diagrams = [PersistenceDiagram(dim, pairs) for dim, pairs in by_dim.items()]
+    text = diagrams_to_csv(diagrams)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text)
+    back = read_diagram_csv(path)
+    assert list(back.values()) == diagrams
+    assert diagrams_to_csv(back.values()) == text
 
 
 # ---------------------------------------------------------------------------

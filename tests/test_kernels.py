@@ -33,16 +33,18 @@ from topofield import (
     denormalize,
     evaluate_stack,
     extract_saddle_contours,
+    filter_by_persistence,
     kde_overlap,
     make_eval_record,
     sublevel_persistence,
     sublevel_persistence_reduction,
     tail_overlap,
+    topo_loss,
 )
 from topofield import persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
 from topofield.metrics import _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
-from topofield.field import _CHUNK_CELLS
+from topofield.field import _CHUNK_CELLS, as_values
 from topofield.order import vertex_ranks
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
@@ -51,11 +53,63 @@ from oracles import bruteforce_bottleneck, exhaustive_bottleneck, naive_sublevel
 from test_structural import ring_sign_changes
 
 
-def rough_field() -> np.ndarray:
+def rough_field(seed: int = 0) -> np.ndarray:
     """A 101x237 field with thousands of H0 and H1 pairs, scaled to [0, 1]."""
-    noise = np.random.default_rng(0).standard_normal((101, 237))
+    noise = np.random.default_rng(seed).standard_normal((101, 237))
     f = _smooth_field((1, 2, 3), (101, 237)) + 0.3 * noise
     return (f - f.min()) / (f.max() - f.min())
+
+
+def signed_ties(f: np.ndarray, seed: int) -> np.ndarray:
+    """f on a 0.01 grid, lowered by 0.2 and cut at zero, half of the zeros
+    -0.0: hundreds of tied values, births among them."""
+    g = np.maximum(np.round(f, 2) - 0.2, 0.0)
+    zero = g == 0.0
+    g[zero] = np.where(np.random.default_rng(seed).random(np.count_nonzero(zero)) < 0.5, -0.0, 0.0)
+    return g
+
+
+def kernel_pairs(field, dim: int) -> list[tuple[float, float]]:
+    """The union-find kernel's pairs as (birth, death) tuples, in the kernel's order."""
+    kernel = (persistence._h0_union_find, persistence._h1_union_find)[dim]
+    return [(b, d) for b, d in kernel(as_values(field)).tolist()]
+
+
+# topo_loss of rough_field(seed) against a prediction 0.02 noise away, plain
+# and through signed_ties, as the tuple-sorted diagrams and the birth-window
+# search computed it; the array route keeps every bit.
+TOPO_LOSS_HEX = {
+    (0, False): "0x1.2341322ed0150p-5", (0, True): "0x1.47ae147ae1480p-5",
+    (1, False): "0x1.fe7c269e919e0p-6", (1, True): "0x1.eb851eb851eb8p-6",
+    (2, False): "0x1.a996de105ff40p-6", (2, True): "0x1.47ae147ae1480p-6",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_diagrams_keep_the_tuple_order_and_the_distance(seed):
+    truth = rough_field(seed)
+    pred = np.clip(truth + 0.02 * np.random.default_rng(seed + 100).standard_normal(truth.shape), 0.0, 1.0)
+    for ties in (False, True):
+        a, b = (signed_ties(truth, seed), signed_ties(pred, seed)) if ties else (truth, pred)
+        for f in (a, b):
+            for dim in (0, 1):
+                # repr tells -0.0 from 0.0, so ties keep their order too
+                assert repr(sublevel_persistence(f, dim).pairs) == repr(tuple(sorted(kernel_pairs(f, dim))))
+        assert topo_loss(a, b).hex() == TOPO_LOSS_HEX[seed, ties]
+
+
+def test_filter_keeps_the_tuple_rule_at_paper_scale():
+    f = rough_field()
+    f[f == 0.0] = -0.0  # the global minimum: the essential H0 class is born at -0.0
+    for dim in (0, 1):
+        pd = sublevel_persistence(f, dim)
+        spans = [d - b for b, d in pd.finite_pairs]
+        assert len(pd) > 2000 and (dim == 1 or repr(pd.pairs[0]) == "(-0.0, inf)")
+        # thresholds equal to a span keep the pairs that reach it exactly
+        for m in (0.0, float(np.median(spans)), max(spans), math.inf):
+            want = tuple((b, d) for b, d in pd.pairs if math.isinf(d) or d - b >= m)
+            got = filter_by_persistence(pd, m)
+            assert repr(got.pairs) == repr(want) and got.dim == dim, (dim, m)
 
 
 def test_routes_agree_at_paper_scale():
@@ -213,9 +267,16 @@ def test_staircase_of_basins_falls_back_to_the_python_loop(monkeypatch):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (1, 40), (40, 1), (2, 9), (9, 2)])
 def test_thin_and_constant_grids_agree_with_reduction(shape):
     rng = np.random.default_rng(305)
-    for grid in (np.zeros(shape), rng.integers(0, 3, size=shape).astype(float), rng.standard_normal(shape)):
+    grids = (np.zeros(shape), rng.integers(0, 3, size=shape).astype(float), rng.standard_normal(shape),
+             rng.choice([-0.0, 0.0, 1.0], size=shape))
+    for grid in grids:
         for dim in (0, 1):
-            assert sublevel_persistence(grid, dim).pairs == sublevel_persistence_reduction(grid, dim).pairs, (grid, dim)
+            pairs = sublevel_persistence(grid, dim).pairs
+            assert pairs == sublevel_persistence_reduction(grid, dim).pairs, (grid, dim)
+            assert repr(pairs) == repr(tuple(sorted(kernel_pairs(grid, dim)))), (grid, dim)
+    for a in grids:
+        for b in grids:
+            assert topo_loss(a, b) == dense_bottleneck(kernel_pairs(a, 1), kernel_pairs(b, 1)), (a, b)
 
 
 def integer_diagram(rng, max_points: int) -> list[tuple[float, float]]:
@@ -331,20 +392,25 @@ def test_bottleneck_window_ends_keep_relevant_edges():
 
 def test_near_edges_match_the_dense_relevant_set(monkeypatch):
     rng = np.random.default_rng(302)
-    on_window_end = 0
-    for chunk in (3, 1 << 16):  # many blocks, a row spanning several, and one block
+    on_window_end = on_death_end = 0
+    # many blocks, a row spanning several, and one block; one point a strip, a
+    # few, and all in one strip
+    for chunk, strip in ((3, 1), (3, 4), (1 << 16, 3), (1 << 16, 64)):
         monkeypatch.setattr(persistence, "_WINDOW_CHUNK", chunk)
+        monkeypatch.setattr(persistence, "_STRIP", strip)
         for _ in range(100):
             p = np.array(tenths_diagram(rng, int(rng.integers(0, 30)))).reshape(-1, 2)
             q = np.array(tenths_diagram(rng, int(rng.integers(0, 30)))).reshape(-1, 2)
             half = (p[:, 1] - p[:, 0]) / 2.0
             dist = np.maximum(np.abs(np.subtract.outer(p[:, 0], q[:, 0])), np.abs(np.subtract.outer(p[:, 1], q[:, 1])))
             want = {(i, j): dist[i, j] for i, j in zip(*np.nonzero(dist < half[:, None]))}
-            rows, cols, d = persistence._near_edges(p, half, q, np.argsort(q[:, 0], kind="stable").astype(np.int32))
+            rows, cols, d = persistence._near_edges(p, half, persistence._Strips(q))
             assert np.all(np.diff(rows) >= 0)
             assert dict(zip(zip(rows.tolist(), cols.tolist()), d.tolist())) == want
             on_window_end += sum(q[j, 0] in (p[i, 0] - half[i], p[i, 0] + half[i]) for i, j in want)
-    assert on_window_end > 50
+            on_death_end += sum(q[j, 1] in (p[i, 1] - half[i], p[i, 1] + half[i]) for i, j in want)
+    # measured: 328 edges on a birth window end, 408 on a death window end
+    assert on_window_end > 50 and on_death_end > 50
 
 
 def test_bottleneck_matches_dense_search_on_rounding_and_tie_heavy_diagrams():
@@ -373,14 +439,14 @@ def dense_lower_bound(a: list, b: list) -> float:
     return lb
 
 
-def spy_rows(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Record the halves and the column side of every block handed to _near_edges."""
+def spy_rows(monkeypatch) -> list[tuple[np.ndarray, persistence._Strips]]:
+    """Record the halves and the column index of every block handed to _near_edges."""
     calls = []
     near_edges = persistence._near_edges
 
-    def spy(p, half_p, q, order):
+    def spy(p, half_p, q):
         calls.append((half_p.copy(), q))
-        return near_edges(p, half_p, q, order)
+        return near_edges(p, half_p, q)
 
     monkeypatch.setattr(persistence, "_near_edges", spy)
     return calls

@@ -147,6 +147,24 @@ class TestDiagramPairs:
         with pytest.raises(FormatError, match="birth .* is not finite"):
             PersistenceDiagram(0, ((birth, INF),))
 
+    def test_first_bad_pair_in_input_order_is_named(self):
+        with pytest.raises(FormatError, match=r"^death 0\.5 precedes birth 2\.0$"):
+            PersistenceDiagram(1, ((0.0, 1.0), (2.0, 0.5), (INF, 1.0)))
+        with pytest.raises(FormatError, match=r"^birth inf is not finite$"):
+            PersistenceDiagram(1, ((0.0, 1.0), (INF, 1.0), (2.0, 0.5)))
+        with pytest.raises(FormatError, match=r"^death nan precedes birth 1\.0$"):
+            PersistenceDiagram(0, np.array([[1.0, math.nan], [2.0, -INF]]))
+
+    def test_array_is_read_only_and_sorted_stably(self):
+        pd = PersistenceDiagram(0, ((1.0, 2.0), (0.0, 1.0), (0.5, INF), (-0.0, 1.0)))
+        # -0.0 and 0.0 tie, so equal pairs keep their input order
+        assert repr(pd.pairs) == "((0.0, 1.0), (-0.0, 1.0), (0.5, inf), (1.0, 2.0))"
+        assert pd.array.flags.writeable is False and np.array_equal(pd.array, np.array(pd.pairs))
+        swapped = PersistenceDiagram(0, ((-0.0, 1.0), (0.0, 1.0), (1.0, 2.0), (0.5, INF)))
+        assert repr(swapped.pairs[:2]) == "((-0.0, 1.0), (0.0, 1.0))"
+        assert swapped == pd and hash(swapped) == hash(pd) and swapped != PersistenceDiagram(1, pd.pairs)
+        assert pd.finite_pairs == ((0.0, 1.0), (-0.0, 1.0), (1.0, 2.0)) and pd.essential_births == (0.5,)
+
 
 class TestFilter:
     def test_zero_threshold_is_identity(self):
