@@ -6,12 +6,17 @@ A cell enters the filtration at the perturbed value of its maximal vertex,
 so the filtration is a strict total order (ties broken by linear index).
 
 The default route, :func:`sublevel_persistence`, runs one elder-rule
-union-find kernel for both dimensions. H0 sweeps the edges upward over the
-vertices. H1 follows from image duality as H0 of the dual graph, whose
-nodes are the unit squares plus one outer face, with the edges swept
-downward. :func:`sublevel_persistence_reduction` reduces the Z2 boundary
-matrices instead (Python-int bitset columns, with clearing); it is the
-cross-check route, and the two are tested against each other.
+union-find kernel for both dimensions. H0 sweeps the 4-connected edges
+upward over the vertices. H1 follows from image duality (Garin et al.
+2020): H1 of the sublevel V-construction is H0 of the superlevel
+8-connected vertex graph plus one outside node, swept downward. Both
+sweeps first contract the grid into basins with whole-grid shifts: every
+vertex joins its first older neighbour, and only the first edge between
+each pair of basins reaches the union-find. A unit square's diagonal
+enters H1's graph only when its ends are the square's two oldest corners.
+:func:`sublevel_persistence_reduction` reduces the Z2 boundary matrices
+instead (Python-int bitset columns, with clearing); it is the cross-check
+route, and the two are tested against each other.
 
 Pairs whose birth and death cells share the same maximal vertex are
 instantaneous in the perturbed filtration and never appear. Pairs with zero
@@ -198,7 +203,7 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
         edge, a, b = edge[rest], lo[rest], hi[rest]
         if 16 * killed.size < m:
             break
-    parent = list(range(n_nodes))
+    parent = list(range(n_nodes)) if edge.size else []  # the rounds often leave no edge
     tail_steps: list[int] = []
     tail_dead: list[int] = []
     for k, x, y in zip(edge.tolist(), a.tolist(), b.tolist()):
@@ -219,54 +224,123 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
     return all_steps[by_step], np.concatenate([*dead, np.array(tail_dead, dtype=np.int64)])[by_step]
 
 
+def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elder-rule merges of a grid graph, contracted to basins first.
+
+    ``age`` gives every node of a flattened grid its age, 0 the oldest. Ages
+    are distinct, except that all nodes of age 0 are one node (the outside).
+    Each of ``blocks`` is a (da, db, listed) triple with da < db: edge p of
+    the block joins nodes p + da and p + db, and ``listed`` masks the edges
+    that exist (None: every p that keeps both ends on the grid). An edge's
+    time is the age of its younger end. Edges of equal time are swept in
+    block order, and by p within a block.
+
+    Each node points to the far end of its first edge in sweep order, if
+    that end is older: the node joins there at its own age, and no pair is
+    born. Pointer jumping gives every node its basin, the tree of a root
+    that points nowhere. Only the first edge in sweep order between two
+    basins can merge them, so :func:`_elder_merges` sweeps just those edges,
+    with basins numbered from the oldest. A killed root is never its merging
+    edge's younger end, so no merge is a pair of zero persistence.
+
+    Returns the age of every basin's root, oldest first, and the time and
+    the killed basin of every merging edge, in sweep order.
+    """
+    size = age.size
+    node = np.arange(size)
+    ptr = node.copy()
+    for da, db, listed in reversed(blocks):  # a node's first edge is written last
+        m = size - db if listed is None else listed.size
+        for x, y in ((da, db), (db, da)):  # in a block, a node's edge as the db end comes first
+            older = age[y:y + m] < age[x:x + m]
+            if listed is not None:
+                older &= listed
+            np.copyto(ptr[x:x + m], node[y:y + m], where=older)
+    up = ptr[ptr]
+    while not np.array_equal(up, ptr):
+        ptr, up = up, up[up]
+    root_age = age[ptr]
+    is_root = np.zeros(size, dtype=bool)
+    is_root[root_age] = True
+    roots = np.flatnonzero(is_root)
+    basin = (np.cumsum(is_root) - 1)[root_age]
+    lo, hi, key = [], [], []
+    for k, (da, db, listed) in enumerate(blocks):
+        m = size - db if listed is None else listed.size
+        cross = basin[da:da + m] != basin[db:db + m]
+        if listed is not None:
+            cross &= listed
+        p = np.flatnonzero(cross)
+        a, b = basin[p + da], basin[p + db]
+        lo.append(np.minimum(a, b))
+        hi.append(np.maximum(a, b))
+        key.append(np.maximum(age[p + da], age[p + db]) * (len(blocks) * size) + (k * size + p))
+    lo, hi, key = np.concatenate(lo), np.concatenate(hi), np.concatenate(key)  # key: the sweep order
+    # each basin pair's first edge: a (pair, time) key would overflow on large grids
+    pair = lo * roots.size + hi
+    order = np.argsort(pair)
+    pair = pair[order]
+    starts = np.ones(pair.size, dtype=bool)
+    starts[1:] = pair[1:] != pair[:-1]
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(key[order], starts)
+    sweep = np.argsort(first)
+    at = order[starts[sweep]]
+    steps, dead = _elder_merges(roots.size, lo[at], hi[at])
+    return roots, first[sweep[steps]] // (len(blocks) * size), dead
+
+
 def _h0_union_find(values: np.ndarray) -> np.ndarray:
-    """H0 pairs as an (n, 2) array: ascending edge sweep over the vertices, whose ranks are their ages."""
+    """H0 pairs as an (n, 2) array: ascending edge sweep over the vertices, whose ranks are their ages.
+
+    A vertex's first edge in sweep order is to its first older neighbour
+    (left, right, up, down), so the basins are those of that descent. Finite
+    pairs come in the order of their merging edges, essential ones by birth
+    rank.
+    """
     rank, vals = _ranked(values)
-    lo, hi = _edge_ends(rank)
-    edge_rank = np.maximum(lo, hi)
-    order = _rank_order(edge_rank)
-    steps, dead = _elder_merges(rank.size, lo[order], hi[order])
-    death = edge_rank[order[steps]]
-    keep = dead != death
-    alive = np.ones(rank.size, dtype=bool)
+    w = rank.shape[1]
+    row_edge = np.ones(rank.shape, dtype=bool)  # a horizontal edge leaves every vertex but a row's last
+    row_edge[:, -1] = False
+    # edges in the reduction route's order: horizontal, then vertical
+    roots, death, dead = _basin_merges(rank.ravel(), ((0, 1, row_edge.ravel()[:-1]), (0, w, None)))
+    alive = np.ones(roots.size, dtype=bool)
     alive[dead] = False
-    finite = np.stack([vals[dead[keep]], vals[death[keep]]], 1)
-    essential = np.stack([vals[alive], np.full(np.count_nonzero(alive), INF)], 1)
+    finite = np.stack([vals[roots[dead]], vals[death]], 1)
+    essential = np.stack([vals[roots[alive]], np.full(np.count_nonzero(alive), INF)], 1)
     return np.concatenate([finite, essential])
 
 
 def _h1_union_find(values: np.ndarray) -> np.ndarray:
-    """H1 pairs as an (n, 2) array: H0 of the dual graph, swept from the top of the filtration.
+    """H1 pairs as an (n, 2) array: H0 of the superlevel 8-connected graph with an outside node.
 
-    The dual graph joins the two unit squares on either side of every edge;
-    a boundary edge leads to one outer face. Edges are swept in descending
-    order. A component's age is its latest square and the outer face is the
-    oldest, so a merging edge is the birth of a loop that the younger
-    component's latest square fills (image duality, Garin et al. 2020,
-    arXiv:2005.04597). A square ranks no lower than its edges, so every
-    square is present when its edges are swept.
+    By image duality (Garin et al. 2020, arXiv:2005.04597), H1 of the
+    sublevel V-construction is H0 of the superlevel sets under
+    8-connectivity, with one outside node joined to every boundary vertex.
+    A loop is a superlevel component the outside has not reached. The
+    vertices are swept from the top of the filtration: a vertex of rank r
+    is aged n - r, and the outside (the padding) is aged 0. A merging edge's
+    younger end is the loop's birth, and the killed basin's root, its
+    highest vertex, is the loop's death. A unit square's diagonal is listed
+    only when its ends are the square's two oldest corners: otherwise a
+    path through a third corner joins them no later. Pairs come by
+    ascending death rank.
     """
     rank, vals = _ranked(values)
-    h, w = rank.shape
-    sq_rank = _square_ranks(rank)
-    sq_order = _rank_order(sq_rank)
-    n_sq = sq_rank.size
-    # node 0 is the outer face (the padding); squares follow, latest first
-    node = np.zeros((h + 1, w + 1), dtype=np.int64)
-    node[1:h, 1:w] = (n_sq - _inverse(sq_order)).reshape(h - 1, w - 1)
-    # faces above/below each horizontal edge, then left/right of each vertical one
-    face_a = np.concatenate([node[:-1, 1:-1].ravel(), node[1:-1, :-1].ravel()])
-    face_b = np.concatenate([node[1:, 1:-1].ravel(), node[1:-1, 1:].ravel()])
-    lo, hi = _edge_ends(rank)
-    edge_rank = np.maximum(lo, hi)
-    order = _rank_order(edge_rank)[::-1]
-    steps, dead = _elder_merges(n_sq + 1, face_a[order], face_b[order])
-    # list pairs in square order, as the reduction route does
-    by_square = np.argsort(-dead)
-    birth = edge_rank[order[steps[by_square]]]
-    death = sq_rank[sq_order[n_sq - dead[by_square]]]
-    keep = birth != death
-    return np.stack([vals[birth[keep]], vals[death[keep]]], 1)
+    n = rank.size
+    grid = np.zeros((rank.shape[0] + 2, rank.shape[1] + 2), dtype=rank.dtype)
+    grid[1:-1, 1:-1] = n - rank
+    age = grid.ravel()
+    w = grid.shape[1]
+    # square p has corners p, p + 1, p + w and p + w + 1; a flat shift that
+    # wraps past a row end joins two padding nodes, which merges nothing
+    tl, tr, bl, br = age[:-w - 1], age[1:-w], age[w:-1], age[w + 1:]
+    blocks = ((0, 1, None), (0, w, None),
+              (0, w + 1, np.maximum(tl, br) < np.minimum(tr, bl)),
+              (1, w, np.maximum(tr, bl) < np.minimum(tl, br)))
+    roots, birth, dead = _basin_merges(age, blocks)
+    by_death = np.argsort(-dead)
+    return np.stack([vals[n - birth[by_death]], vals[n - roots[dead[by_death]]]], 1)
 
 
 def _reduce_columns(columns: Iterable[int]) -> dict[int, tuple[int, int]]:

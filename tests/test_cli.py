@@ -37,7 +37,7 @@ from topofield import (
 from topofield import cli
 from topofield.cli import run
 from topofield.errors import OutOfRange
-from topofield.gfs import read_stack, write_stack
+from topofield.gfs import read_stack, stack_from_bytes, write_stack
 
 from test_bottleneck import augmenting_chain
 
@@ -805,6 +805,96 @@ def test_valid_diagram_csv_round_trips_byte_identically(tmp_path_factory, rows):
     back = read_diagram_csv(path)
     assert list(back.values()) == diagrams
     assert diagrams_to_csv(back.values()) == text
+
+
+# ---------------------------------------------------------------------------
+# GFS stacks: mutated files exit cleanly, valid ones round-trip
+
+
+def _gfs_blob(dates, values) -> bytes:
+    return stack_to_bytes(FieldStack(tuple(dates), values))
+
+
+_SAMPLE_DATES = sorted([dt.date(y, 6, 1) for y in (2010, 2011, 2012)]  # what a 2013-06-01 sample at tau 45 reads
+                       + [dt.date(2013, 6, 1) - dt.timedelta(days=k) for k in (135, 90, 45, 0)])
+_KELVIN = _gfs_blob([dt.date(2015, 1, 1) + dt.timedelta(days=k) for k in range(3)],
+                    np.random.default_rng(61).uniform(260.0, 300.0, (3, 1, 4, 5)))
+_SAMPLE_VALUES = np.zeros((len(_SAMPLE_DATES), 4, 4, 5))  # [SF, T, V, C] with T, V and C zero
+_SAMPLE_VALUES[:, 0] = np.random.default_rng(62).uniform(0.0, 1.0, (len(_SAMPLE_DATES), 4, 5))
+# each command with a stack it accepts; the stats file maps 265-295 K to [0, 1]
+GFS_COMMANDS = {
+    "stats": (_KELVIN, ["stats", "--train-years", "2015", "--input"]),
+    "normalize": (_KELVIN, ["normalize", "--stats", "{stats}", "--output", "{out}", "--input"]),
+    "channels": (_KELVIN, ["channels", "--stats", "{stats}", "--output", "{out}", "--input"]),
+    "persistence": (_KELVIN, ["persistence", "--date", "2015-01-02", "--input"]),
+    "sample": (_gfs_blob(_SAMPLE_DATES, _SAMPLE_VALUES), ["sample", "--date", "2013-06-01", "--tau", "45", "--input"]),
+    "regularize": (_gfs_blob([dt.date(2015, 1, 1)], np.random.default_rng(63).uniform(0.0, 1.0, (1, 1, 4, 5))),
+                   ["regularize", "--eta1", "1", "--lambda"]),
+}
+
+
+@st.composite
+def gfs_mutations(draw) -> list:
+    """Edits to apply to any stack: (kind, where as a fraction, bytes)."""
+    kinds = ["truncate", "extend", "header", "dates", "values"]
+    return draw(st.lists(st.tuples(st.sampled_from(kinds), st.floats(0.0, 1.0, exclude_max=True),
+                                   st.binary(min_size=1, max_size=9)), min_size=1, max_size=3))
+
+
+def mutate_gfs(blob: bytes, edits) -> bytes:
+    """Truncate, over-extend or overwrite bytes of the header, the dates or the values."""
+    data = bytearray(blob)
+    n = int.from_bytes(blob[4:8], "little")
+    regions = {"header": (0, 20), "dates": (20, 20 + 8 * n), "values": (20 + 8 * n, len(blob))}
+    for kind, where, chunk in edits:
+        if kind == "truncate":
+            del data[int(where * len(data)):]
+        elif kind == "extend":
+            data += chunk
+        else:
+            lo, hi = regions[kind]
+            at = lo + int(where * (hi - lo))
+            chunk = chunk[:hi - at]
+            data[at:at + len(chunk)] = chunk
+    return bytes(data)
+
+
+def test_gfs_commands_accept_their_unmutated_stacks(tmp_path):
+    (tmp_path / "stats.json").write_text(json.dumps({"p1": 265.0, "p99": 295.0}))
+    for name, (blob, argv) in GFS_COMMANDS.items():
+        (tmp_path / "in.gfs").write_bytes(blob)
+        argv = [a.format(stats=tmp_path / "stats.json", out=tmp_path / "out.gfs") for a in argv]
+        assert run([*argv, str(tmp_path / "in.gfs")]) == 0, name
+
+
+@given(edits=gfs_mutations())
+@settings(max_examples=50, deadline=None)
+def test_mutated_gfs_stacks_exit_cleanly(tmp_path_factory, edits):
+    tmp = tmp_path_factory.mktemp("gfs")
+    (tmp / "stats.json").write_text(json.dumps({"p1": 265.0, "p99": 295.0}))
+    for name, (blob, argv) in GFS_COMMANDS.items():
+        (tmp / "in.gfs").write_bytes(mutate_gfs(blob, edits))
+        argv = [a.format(stats=tmp / "stats.json", out=tmp / "out.gfs") for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, str(tmp / "in.gfs")])
+        assert code in (0, 1, 2), name
+        assert err.getvalue().count("error [") == (code != 0), (name, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), name
+
+
+@given(n=st.integers(0, 3), channels=st.sampled_from([1, 4]), h=st.integers(2, 4), w=st.integers(2, 4),
+       first=st.integers(dt.date.min.toordinal(), dt.date.max.toordinal() - 40),
+       steps=st.lists(st.integers(1, 10), min_size=3, max_size=3), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_valid_gfs_stacks_round_trip_byte_identically(n, channels, h, w, first, steps, data):
+    dates = [dt.date.fromordinal(first + sum(steps[:k])) for k in range(n)]
+    values = np.array(data.draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                         min_size=n * channels * h * w, max_size=n * channels * h * w)))
+    raw = stack_to_bytes(FieldStack(tuple(dates), values.reshape(n, channels, h, w)))
+    back = stack_from_bytes(raw)
+    assert back.dates == tuple(dates) and np.array_equal(back.values, values.reshape(back.values.shape))
+    assert stack_to_bytes(back) == raw
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ def test_array_diagrams_keep_the_tuple_order_and_the_distance(seed):
     for ties in (False, True):
         a, b = (signed_ties(truth, seed), signed_ties(pred, seed)) if ties else (truth, pred)
         for f in (a, b):
+            assert_kernels_match_references(f)
             for dim in (0, 1):
                 # repr tells -0.0 from 0.0, so ties keep their order too
                 assert repr(sublevel_persistence(f, dim).pairs) == repr(tuple(sorted(kernel_pairs(f, dim))))
@@ -158,6 +159,118 @@ def plain_elder_merges(n_nodes: int, ends_a: list[int], ends_b: list[int]) -> tu
             steps.append(k)
             dead.append(y)
     return np.array(steps, dtype=np.int64), np.array(dead, dtype=np.int64)
+
+
+def reference_h0_union_find(values: np.ndarray) -> np.ndarray:
+    """H0 by the elder rule over every vertex and edge, without basin contraction."""
+    rank, vals = persistence._ranked(values)
+    lo, hi = persistence._edge_ends(rank)
+    edge_rank = np.maximum(lo, hi)
+    order = persistence._rank_order(edge_rank)
+    steps, dead = persistence._elder_merges(rank.size, lo[order], hi[order])
+    death = edge_rank[order[steps]]
+    keep = dead != death
+    alive = np.ones(rank.size, dtype=bool)
+    alive[dead] = False
+    finite = np.stack([vals[dead[keep]], vals[death[keep]]], 1)
+    essential = np.stack([vals[alive], np.full(np.count_nonzero(alive), np.inf)], 1)
+    return np.concatenate([finite, essential])
+
+
+def reference_h1_union_find(values: np.ndarray) -> np.ndarray:
+    """H1 as H0 of the dual graph, the unit squares plus one outer face, with
+    every edge swept from the top; pairs in square order."""
+    rank, vals = persistence._ranked(values)
+    h, w = rank.shape
+    sq_rank = persistence._square_ranks(rank)
+    sq_order = persistence._rank_order(sq_rank)
+    n_sq = sq_rank.size
+    # node 0 is the outer face (the padding); squares follow, latest first
+    node = np.zeros((h + 1, w + 1), dtype=np.int64)
+    node[1:h, 1:w] = (n_sq - persistence._inverse(sq_order)).reshape(h - 1, w - 1)
+    # faces above/below each horizontal edge, then left/right of each vertical one
+    face_a = np.concatenate([node[:-1, 1:-1].ravel(), node[1:-1, :-1].ravel()])
+    face_b = np.concatenate([node[1:, 1:-1].ravel(), node[1:-1, 1:].ravel()])
+    lo, hi = persistence._edge_ends(rank)
+    edge_rank = np.maximum(lo, hi)
+    order = persistence._rank_order(edge_rank)[::-1]
+    steps, dead = persistence._elder_merges(n_sq + 1, face_a[order], face_b[order])
+    by_square = np.argsort(-dead)
+    birth = edge_rank[order[steps[by_square]]]
+    death = sq_rank[sq_order[n_sq - dead[by_square]]]
+    keep = birth != death
+    return np.stack([vals[birth[keep]], vals[death[keep]]], 1)
+
+
+def assert_kernels_match_references(grid) -> None:
+    """The basin kernels' raw arrays are byte-equal to the full sweeps': same pairs, order and zero signs."""
+    values = as_values(grid)
+    for dim, (kernel, reference) in enumerate([(persistence._h0_union_find, reference_h0_union_find),
+                                               (persistence._h1_union_find, reference_h1_union_find)]):
+        got, want = kernel(values), reference(values)
+        assert got.dtype == want.dtype and got.shape == want.shape, (grid, dim)
+        assert got.tobytes() == want.tobytes(), (grid, dim)
+
+
+def test_basin_kernels_are_byte_equal_to_the_full_sweeps():
+    rng = np.random.default_rng(310)
+    for k in range(500):
+        shape = tuple(int(n) for n in rng.integers(1, 14, size=2))
+        grid = (rng.integers(0, 3, size=shape).astype(float),  # three-level ties
+                rng.choice([-0.0, 0.0, 1.0, 2.0], size=shape, p=[0.15, 0.15, 0.35, 0.35]),  # signed zeros
+                rng.standard_normal(shape),
+                np.full(shape, [-0.0, 0.0, 1.0][k // 4 % 3]))[k % 4]
+        assert_kernels_match_references(grid)
+
+
+def saddle_square() -> np.ndarray:
+    """Two peaks, 9 and 10, whose basins first meet across the diagonal 8-7
+    of the saddle square [[8, 1], [2, 7]]. Under 8-connectivity the loop
+    around 9 closes at 7; without the diagonal it would close at 2."""
+    return np.array([[0, 0, 0, 0, 0, 0],
+                      [0, 9, 8, 1, 0, 0],
+                      [0, 0, 2, 7, 10, 0],
+                      [0, 0, 0, 0, 0, 0]], dtype=float)
+
+
+def test_only_a_diagonal_joins_two_basins():
+    for grid in (saddle_square(), saddle_square()[:, ::-1]):  # a main and an anti-diagonal
+        assert sublevel_persistence(grid, 1).pairs == ((0.0, 10.0), (7.0, 9.0))
+        assert sublevel_persistence_reduction(grid, 1).pairs == ((0.0, 10.0), (7.0, 9.0))
+        assert kernel_pairs(grid, 1) == [(7.0, 9.0), (0.0, 10.0)]  # by ascending death
+        assert_kernels_match_references(grid)
+        assert_kernels_match_references(grid.T)
+
+
+def test_only_the_outside_closes_a_loop():
+    # the peak's ring is the grid's boundary: its basin meets no other, and
+    # the boundary cell 8, joined to the outside, closes the loop
+    grid = np.array([[0, 8, 0], [0, 9, 0], [0, 0, 0]], dtype=float)
+    for g in (grid, grid.T, grid[::-1], np.pad(grid, ((0, 0), (0, 2)))):
+        assert sublevel_persistence(g, 1).pairs == ((8.0, 9.0),)
+        assert sublevel_persistence_reduction(g, 1).pairs == ((8.0, 9.0),)
+        assert_kernels_match_references(g)
+
+
+def test_union_find_sees_one_edge_per_basin_pair(monkeypatch):
+    calls = []
+    elder_merges = persistence._elder_merges
+
+    def spy(n_nodes, ends_a, ends_b):
+        calls.append((n_nodes, ends_a, ends_b))
+        return elder_merges(n_nodes, ends_a, ends_b)
+
+    monkeypatch.setattr(persistence, "_elder_merges", spy)
+    f = rough_field()
+    for dim in (0, 1):
+        calls.clear()
+        pd = sublevel_persistence(f, dim)
+        (n_nodes, a, b), = calls
+        # one node per basin (and the outside for H1), each basin root a birth or a death
+        assert n_nodes == len(pd) + dim
+        pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        assert len(pairs) == a.size and np.all(a != b)
+        assert a.size < 3 * n_nodes  # measured: 13,257 edges for 4,734 basins (H0), 7,220 for 2,505 (H1)
 
 
 def test_contracted_sweep_matches_plain_union_find():
@@ -251,8 +364,8 @@ def test_staircase_of_basins_falls_back_to_the_python_loop(monkeypatch):
     left = spy_rounds(monkeypatch)
     grid = staircase(2000)
     got = sublevel_persistence(grid, 0)
-    # measured: a vertex round leaves 1,999 label edges, the next kills one
-    # basin, and the loop takes the 1,998 left
+    # measured: the basin contraction leaves 1,999 edges, one round kills
+    # one basin, and the loop takes the 1,998 left
     assert len(left) <= 3 and left[-1] >= 1990, left
     assert len(got) == 2000
     assert got.pairs == sublevel_persistence_reduction(grid, 0).pairs
@@ -270,6 +383,7 @@ def test_thin_and_constant_grids_agree_with_reduction(shape):
     grids = (np.zeros(shape), rng.integers(0, 3, size=shape).astype(float), rng.standard_normal(shape),
              rng.choice([-0.0, 0.0, 1.0], size=shape))
     for grid in grids:
+        assert_kernels_match_references(grid)
         for dim in (0, 1):
             pairs = sublevel_persistence(grid, dim).pairs
             assert pairs == sublevel_persistence_reduction(grid, dim).pairs, (grid, dim)
