@@ -15,7 +15,6 @@ from .field import (
     compute_norm_stats,
     denormalize,
     denormalize_stack,
-    normalize,
     normalize_stack,
 )
 from .fusion import (

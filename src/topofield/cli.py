@@ -639,23 +639,28 @@ def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
 def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
     """Config values become defaults; flags they cover stop being required.
 
-    A value for a flag with a type is parsed by that type as the flag's text
-    would be: a bad value is a format error, a list or object a usage error.
+    A value for a flag that takes one is parsed as the flag's text would be,
+    by its type and choices: a bad value is a format error, a list or object
+    a usage error. A null value leaves the flag as it is.
     """
     for sub in _subparsers(parser):
         defaults = {}
         for action in sub._actions:
-            if action.dest not in config:
+            value = config.get(action.dest)
+            if value is None:
                 continue
-            value = config[action.dest]
-            if action.type is not None and value is not None:
-                flag = action.option_strings[0]
+            if action.nargs != 0:  # not a switch such as --json
+                flag = action.option_strings[0] if action.option_strings else action.dest
                 if isinstance(value, (list, dict)):
                     parser.error(f"config value for {flag} must be a single value, got {value!r}")
                 try:
-                    value = action.type(str(value))
+                    parsed = str(value) if action.type is None else action.type(str(value))
                 except (argparse.ArgumentTypeError, ValueError) as exc:
                     raise FormatError(f"{flag} {exc} (config value {value!r})") from None
+                if action.choices is not None and parsed not in action.choices:
+                    choices = ", ".join(map(str, action.choices))
+                    raise FormatError(f"{flag} must be one of {choices} (config value {value!r})")
+                value = parsed
             defaults[action.dest] = value
             action.required = False
         sub.set_defaults(**defaults)

@@ -148,8 +148,8 @@ class FieldStack:
             object.__setattr__(self, "_idx_cache", cached)
         return cached
 
-    def field(self, i: int, channel: int = 0) -> ScalarField:
-        return ScalarField(self.values[i, channel])
+    def field(self, i: int) -> ScalarField:
+        return ScalarField(self.values[i, 0])
 
 
 @dataclass(frozen=True)
@@ -217,11 +217,6 @@ def normalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def normalize(field: ScalarField, stats: NormStats) -> ScalarField:
-    """Affine map of [p1, p99] onto [0, 1], clipped to that range."""
-    return ScalarField(normalized(field.values, stats))
-
-
 def denormalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
     """Kelvin values of normalized grids, one or many: shape (..., h, w).
 
@@ -239,7 +234,7 @@ def denormalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 def denormalize(field: ScalarField, stats: NormStats) -> ScalarField:
-    """Inverse of :func:`normalize` for reporting physical-unit errors."""
+    """Kelvin values of one normalized field, for reporting physical-unit errors."""
     return ScalarField(denormalized(field.values, stats))
 
 

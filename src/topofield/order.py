@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import GridTooSmall
+
 
 def vertex_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank every cell of a grid, or of each grid along leading batch axes.
@@ -26,6 +28,8 @@ def vertex_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the order of a stable sort, -0.0 and 0.0 counting as equal.
     """
     cells = values.shape[-2] * values.shape[-1]
+    if not cells:
+        raise GridTooSmall(f"a {values.shape[-2]}x{values.shape[-1]} grid has no cells to rank")
     flat = values.reshape(-1, cells)
     order = np.argsort(flat, axis=-1)
     sorted_values = np.take_along_axis(flat, order, axis=-1)

@@ -111,7 +111,7 @@ class PersistenceDiagram:
 # Complex construction and the elder-rule kernel
 #
 # Cells are ordered by (rank, id), where a cell's rank is the rank of its
-# maximal vertex; an argsort of the unique keys rank * size + id gives that order.
+# maximal vertex; a stable argsort of the ranks gives that order.
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +139,6 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     return inv
-
-
-def _rank_order(rank: np.ndarray) -> np.ndarray:
-    """The stable argsort of ``rank``, from a default argsort of the unique keys rank * size + index."""
-    return np.argsort(rank * rank.size + np.arange(rank.size))
 
 
 def _first_of_each_pair(lo: np.ndarray, hi: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -275,19 +270,11 @@ def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.n
         lo.append(np.minimum(a, b))
         hi.append(np.maximum(a, b))
         key.append(np.maximum(age[p + da], age[p + db]) * (len(blocks) * size) + (k * size + p))
-    lo, hi, key = np.concatenate(lo), np.concatenate(hi), np.concatenate(key)  # key: the sweep order
-    # each basin pair's first edge: a (pair, time) key would overflow on large grids
-    pair = lo * roots.size + hi
-    order = np.argsort(pair)
-    pair = pair[order]
-    starts = np.ones(pair.size, dtype=bool)
-    starts[1:] = pair[1:] != pair[:-1]
-    starts = np.flatnonzero(starts)
-    first = np.minimum.reduceat(key[order], starts)
-    sweep = np.argsort(first)
-    at = order[starts[sweep]]
+    lo, hi, key = np.concatenate(lo), np.concatenate(hi), np.concatenate(key)
+    at = np.argsort(key)  # the sweep order: the keys are distinct
+    at = at[_first_of_each_pair(lo[at], hi[at], roots.size)]
     steps, dead = _elder_merges(roots.size, lo[at], hi[at])
-    return roots, first[sweep[steps]] // (len(blocks) * size), dead
+    return roots, key[at[steps]] // (len(blocks) * size), dead
 
 
 def _h0_union_find(values: np.ndarray) -> np.ndarray:
@@ -387,9 +374,9 @@ def sublevel_persistence_reduction(field, dim: int) -> PersistenceDiagram:
     h, w = rank.shape
     lo, hi = _edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    edge_order = _rank_order(edge_rank)
+    edge_order = np.argsort(edge_rank, kind="stable")
     sq_rank = _square_ranks(rank)
-    sq_order = _rank_order(sq_rank)
+    sq_order = np.argsort(sq_rank, kind="stable")
     horiz = np.arange(h * (w - 1)).reshape(h, w - 1)
     vert = horiz.size + np.arange((h - 1) * w).reshape(h - 1, w)
     # the four edges of each square: top, bottom, left, right
@@ -700,15 +687,11 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
 # Diagram CSV (header "dim,birth,death"; 17 significant digits; "inf" deaths)
 
 
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else format(x, ".17g")
-
-
 def diagrams_to_csv(diagrams: Iterable[PersistenceDiagram]) -> str:
     lines = ["dim,birth,death"]
     for pd in diagrams:
         for b, d in pd.pairs:
-            lines.append(f"{pd.dim},{_fmt(b)},{_fmt(d)}")
+            lines.append(f"{pd.dim},{b:.17g},{d:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -733,8 +716,7 @@ def read_diagram_csv(path) -> dict[int, PersistenceDiagram]:
         if len(row) != 3:
             raise FormatError(f"bad diagram CSV row: {row}")
         try:
-            dim, birth = int(row[0]), float(row[1])
-            death = INF if row[2].strip() == "inf" else float(row[2])
+            dim, birth, death = int(row[0]), float(row[1]), float(row[2])
         except ValueError:
             raise FormatError(f"bad diagram CSV row: {row}") from None
         if not math.isfinite(birth):

@@ -201,15 +201,21 @@ def write_manifest(path, samples) -> None:
 
 def read_manifest(path) -> list[tuple[dt.date, LeadTime, tuple[dt.date, ...], tuple[dt.date, ...]]]:
     """Parse manifest lines into (target, tau, inter_dates, intra_dates)."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {path} is not text: {exc}") from None
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 8:
             raise FormatError(f"bad manifest line: {line!r}")
-        target = dt.date.fromisoformat(parts[0])
-        tau = LeadTime(int(parts[1]))
-        dates = tuple(dt.date.fromisoformat(p) for p in parts[2:])
-        out.append((target, tau, dates[:3], dates[3:]))
+        try:
+            target, tau = dt.date.fromisoformat(parts[0]), int(parts[1])
+            dates = tuple(dt.date.fromisoformat(p) for p in parts[2:])
+        except ValueError:
+            raise FormatError(f"bad manifest line: {line!r}") from None
+        out.append((target, LeadTime(tau), dates[:3], dates[3:]))
     return out

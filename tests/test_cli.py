@@ -3,6 +3,7 @@ import datetime as dt
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -27,7 +28,6 @@ from topofield import (
     l_reg,
     make_eval_record,
     mean_balance,
-    normalize,
     read_diagram_csv,
     stack_to_bytes,
     sublevel_persistence,
@@ -37,6 +37,7 @@ from topofield import (
 from topofield import cli
 from topofield.cli import run
 from topofield.errors import OutOfRange
+from topofield.field import normalized
 from topofield.gfs import read_stack, stack_from_bytes, write_stack
 
 from test_bottleneck import augmenting_chain
@@ -455,7 +456,7 @@ def test_persistence_min_persistence_filters_the_library_diagrams(tmp_path, raw_
     out, want = tmp_path / "pd.csv", tmp_path / "want.csv"
     assert run(["persistence", "--input", str(raw_stack), "--date", "2015-01-04", "--stats", str(stats_file),
                 "--min-persistence", "0.05", "--output", str(out)]) == 0
-    field = normalize(read_stack(raw_stack).field(3), NormStats(**json.loads(stats_file.read_text())))
+    field = normalized(read_stack(raw_stack).values[3, 0], NormStats(**json.loads(stats_file.read_text())))
     full = [sublevel_persistence(field, dim) for dim in (0, 1)]
     kept = [filter_by_persistence(pd, 0.05) for pd in full]
     write_diagram_csv(want, kept)
@@ -895,6 +896,127 @@ def test_valid_gfs_stacks_round_trip_byte_identically(n, channels, h, w, first, 
     back = stack_from_bytes(raw)
     assert back.dates == tuple(dates) and np.array_equal(back.values, values.reshape(back.values.shape))
     assert stack_to_bytes(back) == raw
+
+
+# ---------------------------------------------------------------------------
+# Config files and climate specs: mutated ones exit cleanly
+
+# each command with the positional arguments and the config that make it
+# succeed; "{name}" is a file of the example's folder (see config_folder)
+CONFIG_COMMANDS = {
+    "stats": ([], {"input": "{kelvin}", "train_years": "2015"}),
+    "normalize": ([], {"input": "{kelvin}", "stats": "{stats}", "output": "{out}"}),
+    "channels": ([], {"input": "{kelvin}", "stats": "{stats}", "output": "{out}", "threads": 2}),
+    "persistence": ([], {"input": "{kelvin}", "stats": "{stats}", "date": "2015-01-02", "dim": 1,
+                         "min_persistence": 0.01, "output": "{out}"}),
+    "bottleneck": (["{csv}", "{csv}"], {"dim": 0}),
+    "sample": ([], {"input": "{sample}", "date": "2013-06-01", "tau": 45}),
+    "regularize": ([], {"lam": "{lam}", "eta1": 1, "target": 0.5}),
+    "synth": ([], {"spec": "{spec}", "output": "{out}", "seed": 3}),
+}
+# keys a mutation may add; not --count, whose value sets how long sample runs
+CONFIG_KEYS = ["json", "threads", "date", "dim", "seed", "tau", "role", "season", "train_years", "test_years",
+               "invert", "stats", "output", "input", "no_such_flag"]
+# small values only: no integer above 4, and no float whose digits a deletion could join
+CONFIG_VALUES = (st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([0.5, -1.0, math.nan, math.inf])
+                 | st.sampled_from(["", "x", "0", "-1", "nan", "1e400", "2015-2016", "2015-01-02", "train", "JJA",
+                                    "{kelvin}", "{stats}", "{out}", "{csv}", "{folder}"])
+                 | st.lists(st.integers(0, 3), max_size=2) | st.fixed_dictionaries({"a": st.integers(0, 1)}))
+# byte edits that hold no digit, so that no number grows past what was drawn
+JSON_PIECES = [b",", b"{", b"}", b"[", b"]", b'"', b":", b" ", b"-", b"null", b"\x00", b"\xff"]
+
+
+def config_folder(tmp) -> dict:
+    """Write every input a CONFIG_COMMANDS entry reads; returns the path of each placeholder."""
+    paths = {name: tmp / name for name in ("kelvin", "stats", "out", "csv", "sample", "lam", "spec")}
+    paths["kelvin"].write_bytes(_KELVIN)
+    paths["sample"].write_bytes(_gfs_blob(_SAMPLE_DATES, _SAMPLE_VALUES))
+    paths["lam"].write_bytes(GFS_COMMANDS["regularize"][0])
+    paths["stats"].write_text(json.dumps({"p1": 265.0, "p99": 295.0}))
+    paths["csv"].write_bytes(DIAGRAM_CSV)
+    paths["spec"].write_text(json.dumps(CLIMATE_SPEC))
+    return {f"{{{name}}}": str(path) for name, path in dict(paths, folder=tmp).items()}
+
+
+def with_paths(blob: bytes, paths: dict) -> bytes:
+    for placeholder, path in paths.items():
+        blob = blob.replace(placeholder.encode(), path.encode())
+    return blob
+
+
+@st.composite
+def edited_json(draw, base: dict, keys, values) -> bytes:
+    """``base`` with some values replaced or dropped and some keys added, then at most one byte edit."""
+    obj = dict(base)
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            obj[key] = draw(values)
+        else:
+            del obj[key]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        obj[key] = draw(values)
+    blob = bytearray(json.dumps(obj).encode())
+    kind = draw(st.sampled_from(["none", "insert", "replace", "delete", "truncate"]))
+    at = draw(st.integers(0, len(blob)))
+    if kind in ("insert", "replace"):
+        blob[at:at + (kind == "replace")] = draw(st.sampled_from(JSON_PIECES))
+    elif kind == "delete":
+        del blob[at:at + draw(st.integers(1, 8))]
+    elif kind == "truncate":
+        del blob[at:]
+    return bytes(blob)
+
+
+def run_quietly(argv, folder) -> tuple[int, str]:
+    """Run in ``folder``, where a relative output path such as "x" lands; returns the status and all output."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(folder)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        os.chdir(home)
+    return code, out.getvalue() + err.getvalue()
+
+
+def assert_clean_exit(code: int, output: str) -> None:
+    assert code in (0, 1, 2), output
+    assert output.count("error [") == (code != 0) and "Traceback" not in output, output
+
+
+def test_config_commands_accept_their_unmutated_configs(tmp_path):
+    paths = config_folder(tmp_path)
+    for name, (positional, config) in CONFIG_COMMANDS.items():
+        (tmp_path / "cfg.json").write_bytes(with_paths(json.dumps(config).encode(), paths))
+        assert run([name, *(paths[a] for a in positional), "--config", str(tmp_path / "cfg.json")]) == 0, name
+
+
+@given(name=st.sampled_from(sorted(CONFIG_COMMANDS)), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_config_files_exit_cleanly(tmp_path_factory, name, data):
+    tmp = tmp_path_factory.mktemp("config")
+    paths = config_folder(tmp)
+    positional, config = CONFIG_COMMANDS[name]
+    (tmp / "cfg.json").write_bytes(with_paths(data.draw(edited_json(config, CONFIG_KEYS, CONFIG_VALUES)), paths))
+    argv = [name, *(paths[a] for a in positional), "--config", str(tmp / "cfg.json")]
+    assert_clean_exit(*run_quietly(argv, tmp))
+
+
+# n_years and the grid sides stay at most 6, so a spec that succeeds is small
+SPEC_VALUES = (st.none() | st.booleans() | st.integers(-2, 6)
+               | st.sampled_from([0.0, 0.5, 1.0, -1.0, math.nan, math.inf, "", "x", "4"])
+               | st.lists(st.integers(0, 3), max_size=2))
+
+
+@given(spec=edited_json(CLIMATE_SPEC, ["start_year", "no_such_key"], SPEC_VALUES),
+       seed=st.none() | st.integers(-1, 4))
+@settings(max_examples=50, deadline=None)
+def test_mutated_climate_specs_exit_cleanly(tmp_path_factory, spec, seed):
+    tmp = tmp_path_factory.mktemp("spec")
+    (tmp / "spec.json").write_bytes(spec)
+    argv = ["synth", "--spec", str(tmp / "spec.json"), "--output", str(tmp / "out.gfs")]
+    assert_clean_exit(*run_quietly(argv + ([] if seed is None else ["--seed", str(seed)]), tmp))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from topofield import (
     compute_norm_stats,
     denormalize,
     denormalize_stack,
-    normalize,
     normalize_stack,
     stack_from_bytes,
     stack_to_bytes,
 )
 from topofield.errors import DegenerateStats, EmptyTrainingSet, FormatError, OutOfRange
+from topofield.field import normalized
 
 from oracles import interpolated_percentile
 
@@ -92,7 +92,7 @@ class TestFieldStack:
             tracemalloc.stop()
         assert peak < 1.5 * got.nbytes, (peak, got.nbytes)
         for i in range(20):
-            assert got[i, 0].tobytes() == normalize(stack.field(i), stats).values.tobytes()
+            assert got[i, 0].tobytes() == normalized(stack.values[i, 0], stats).tobytes()
 
     def test_reading_a_stack_makes_one_float64_array(self):
         stack = stack_of([(dt.date(2020, 1, d), np.full((60, 70), float(d))) for d in range(1, 21)])
@@ -113,7 +113,7 @@ class TestFieldStack:
         got = denormalize_stack(stack, stats).values
         for i in range(2):
             for c in range(4):
-                assert got[i, c].tobytes() == denormalize(stack.field(i, c), stats).values.tobytes()
+                assert got[i, c].tobytes() == denormalize(ScalarField(stack.values[i, c]), stats).values.tobytes()
 
 
 class TestComputeNormStats:
@@ -178,17 +178,17 @@ class TestNormalizeDenormalize:
 
     def test_p1_maps_to_zero(self):
         f = ScalarField(np.full((3, 3), 260.0))
-        assert np.all(normalize(f, self.STATS).values == 0.0)
+        assert np.all(normalized(f.values, self.STATS) == 0.0)
 
     def test_p99_maps_to_one(self):
         f = ScalarField(np.full((3, 3), 300.0))
-        assert np.all(normalize(f, self.STATS).values == 1.0)
+        assert np.all(normalized(f.values, self.STATS) == 1.0)
 
     def test_above_p99_clips(self):
         grid = np.full((3, 3), 280.0)
         grid[1, 1] = 350.0
-        out = normalize(ScalarField(grid), self.STATS)
-        assert out.values[1, 1] == 1.0
+        out = normalized(grid, self.STATS)
+        assert out[1, 1] == 1.0
 
     def test_denormalize_midpoint(self):
         f = ScalarField(np.full((2, 2), 0.5))
@@ -207,7 +207,7 @@ class TestNormalizeDenormalize:
         rng = np.random.default_rng(5)
         grid = rng.uniform(260.0, 300.0, size=(4, 4))
         f = ScalarField(grid)
-        back = denormalize(normalize(f, self.STATS), self.STATS)
+        back = denormalize(ScalarField(normalized(f.values, self.STATS)), self.STATS)
         assert np.allclose(back.values, grid, atol=1e-6 * self.STATS.span)
 
     @given(
@@ -217,16 +217,16 @@ class TestNormalizeDenormalize:
     @settings(max_examples=50, deadline=None)
     def test_normalize_monotone(self, u, v):
         lo, hi = sorted((260.0 + 40.0 * u, 260.0 + 40.0 * v))
-        a = normalize(ScalarField(np.full((2, 2), lo)), self.STATS).values[0, 0]
-        b = normalize(ScalarField(np.full((2, 2), hi)), self.STATS).values[0, 0]
+        a = normalized(np.full((2, 2), lo), self.STATS)[0, 0]
+        b = normalized(np.full((2, 2), hi), self.STATS)[0, 0]
         assert a <= b
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=50, deadline=None)
     def test_normalize_after_denormalize_is_identity(self, x):
         f = ScalarField(np.full((2, 2), x))
-        again = normalize(denormalize(f, self.STATS), self.STATS)
-        assert abs(again.values[0, 0] - x) <= 1e-9
+        again = normalized(denormalize(f, self.STATS).values, self.STATS)
+        assert abs(again[0, 0] - x) <= 1e-9
 
 
 class TestSplitSpec:

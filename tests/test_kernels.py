@@ -166,7 +166,7 @@ def reference_h0_union_find(values: np.ndarray) -> np.ndarray:
     rank, vals = persistence._ranked(values)
     lo, hi = persistence._edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    order = persistence._rank_order(edge_rank)
+    order = np.argsort(edge_rank, kind="stable")
     steps, dead = persistence._elder_merges(rank.size, lo[order], hi[order])
     death = edge_rank[order[steps]]
     keep = dead != death
@@ -183,7 +183,7 @@ def reference_h1_union_find(values: np.ndarray) -> np.ndarray:
     rank, vals = persistence._ranked(values)
     h, w = rank.shape
     sq_rank = persistence._square_ranks(rank)
-    sq_order = persistence._rank_order(sq_rank)
+    sq_order = np.argsort(sq_rank, kind="stable")
     n_sq = sq_rank.size
     # node 0 is the outer face (the padding); squares follow, latest first
     node = np.zeros((h + 1, w + 1), dtype=np.int64)
@@ -193,7 +193,7 @@ def reference_h1_union_find(values: np.ndarray) -> np.ndarray:
     face_b = np.concatenate([node[1:, 1:-1].ravel(), node[1:-1, 1:].ravel()])
     lo, hi = persistence._edge_ends(rank)
     edge_rank = np.maximum(lo, hi)
-    order = persistence._rank_order(edge_rank)[::-1]
+    order = np.argsort(edge_rank, kind="stable")[::-1]
     steps, dead = persistence._elder_merges(n_sq + 1, face_a[order], face_b[order])
     by_square = np.argsort(-dead)
     birth = edge_rank[order[steps[by_square]]]
@@ -371,7 +371,7 @@ def test_staircase_of_basins_falls_back_to_the_python_loop(monkeypatch):
     assert got.pairs == sublevel_persistence_reduction(grid, 0).pairs
     rank = persistence._ranked(grid)[0]
     lo, hi = persistence._edge_ends(rank)
-    order = persistence._rank_order(np.maximum(lo, hi))
+    order = np.argsort(np.maximum(lo, hi), kind="stable")
     want = plain_elder_merges(rank.size, lo[order].tolist(), hi[order].tolist())
     for x, y in zip(persistence._elder_merges(rank.size, lo[order], hi[order]), want):
         assert np.array_equal(x, y)

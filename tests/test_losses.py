@@ -151,6 +151,11 @@ class TestTopoLoss:
         noise = rng.uniform(-0.05, 0.05, (8, 8))
         assert topo_loss(f, f + noise) <= np.abs(noise).max() + 1e-9
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_grid_without_cells_is_too_small(self, shape):
+        with pytest.raises(GridTooSmall, match=f"{shape[0]}x{shape[1]} grid"):
+            topo_loss(np.zeros(shape), np.zeros(shape))
+
 
 class TestCompositeGate:
     W = LossWeights(1.0, 1.0, 1.0, 1.0)

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from topofield import (
     PersistenceDiagram,
+    diagrams_to_csv,
     filter_by_persistence,
     read_diagram_csv,
     sublevel_persistence,
     sublevel_persistence_reduction,
     write_diagram_csv,
 )
-from topofield.errors import DimensionMismatch, FormatError
+from topofield.errors import DimensionMismatch, FormatError, GridTooSmall
 
 from oracles import count_local_minima, naive_sublevel_pairs
 
@@ -49,6 +50,13 @@ class TestSublevelExamples:
         # and fills when the center enters
         assert sublevel_persistence(CRATER, 1).pairs == ((0.98, 9.0),)
         assert naive_sublevel_pairs(CRATER, 1) == [(0.98, 9.0)]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("route", [sublevel_persistence, sublevel_persistence_reduction])
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_grid_without_cells_is_too_small(self, shape, route, dim):
+        with pytest.raises(GridTooSmall, match=f"{shape[0]}x{shape[1]} grid"):
+            route(np.zeros(shape), dim)
 
     def test_bad_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -204,6 +212,20 @@ class TestDiagramCsv:
         text = path.read_text()
         assert text.splitlines()[0] == "dim,birth,death"
         assert text.splitlines()[1] == "0,0.5,inf"
+
+    def test_bytes_of_signed_zeros_extremes_and_inf(self):
+        pd = PersistenceDiagram(0, [(-1.0, -0.0), (-1.0, 0.0), (-0.0, 5e-324), (0.0, 1.7976931348623157e308),
+                                    (-2.0, INF)])
+        assert diagrams_to_csv([pd]) == (
+            "dim,birth,death\n0,-2,inf\n0,-1,-0\n0,-1,0\n0,-0,4.9406564584124654e-324\n"
+            "0,0,1.7976931348623157e+308\n"
+        )
+
+    @pytest.mark.parametrize("death", ["inf", " inf", "INF", "Infinity"])
+    def test_every_spelling_of_inf_is_an_inf_death(self, tmp_path, death):
+        path = tmp_path / "d.csv"
+        path.write_text(f"dim,birth,death\n0,0.5,{death}\n")
+        assert read_diagram_csv(path)[0].pairs == ((0.5, INF),)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

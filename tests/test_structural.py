@@ -54,6 +54,12 @@ class TestClassification:
         with pytest.raises(GridTooSmall):
             classify_critical_points(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_grid_without_cells_is_too_small(self, shape):
+        for view in (classify_critical_points, lambda grid: extract_saddle_contours(grid, [])):
+            with pytest.raises(GridTooSmall, match=f"{shape[0]}x{shape[1]} grid"):
+                view(np.zeros(shape))
+
     def test_constant_field_classifies_nothing(self):
         # ties resolve to the index ramp; its perturbed maximum is the
         # bottom-right boundary cell, so nothing interior is critical

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topofield import (
     FieldStack,
@@ -18,7 +20,7 @@ from topofield import (
     write_manifest,
 )
 from topofield.errors import FormatError, InsufficientHistory, MissingDate, MissingDayOfYear
-from topofield.temporal import manifest_line
+from topofield.temporal import TAU_MAX, TAU_MIN, DualSample, manifest_line
 
 
 def d(s):
@@ -234,6 +236,75 @@ class TestManifest:
         assert tau.tau == 45
         assert inter == samples[0].inter_dates
         assert intra == samples[0].intra_dates
+
+    def test_bad_date_tau_or_bytes_name_the_manifest(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        good = "2020-06-01,45,2017-06-01,2018-06-01,2019-06-01,2020-01-18,2020-03-03,2020-04-17"
+        for line in (good.replace("2020-06-01", "x", 1), good.replace(",45,", ",zz,")):
+            path.write_text(line + "\n")
+            with pytest.raises(FormatError, match="bad manifest line"):
+                read_manifest(path)
+        path.write_bytes(good.encode() + b"\xff\n")
+        with pytest.raises(FormatError, match="is not text"):
+            read_manifest(path)
+
+
+def dual_sample(target: dt.date, tau: int, inter) -> DualSample:
+    """A sample with the given dates and empty inputs: all a manifest line records."""
+    lead = LeadTime(tau)
+    empty = np.zeros((3, 4, 1, 1))
+    return DualSample(target, lead, tuple(inter), tuple(intra_dates(target, lead)), empty, empty, empty[0, 0])
+
+
+@st.composite
+def manifest_samples(draw) -> list:
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.dates(min_value=dt.date(2, 1, 1)))
+        before = st.dates(max_value=target - dt.timedelta(days=1))
+        out.append(dual_sample(target, draw(st.integers(TAU_MIN, TAU_MAX)),
+                               sorted(draw(st.lists(before, min_size=3, max_size=3)))))
+    return out
+
+
+MANIFEST_PIECES = [b"0", b"1", b"9", b"-", b",", b"W", b"T", b" ", b"+", b"_", b"\n", b"\x00", b"\xff", b"\xc3"]
+
+
+@given(samples=manifest_samples())
+@settings(max_examples=50, deadline=None)
+def test_written_manifests_round_trip(tmp_path_factory, samples):
+    path = tmp_path_factory.mktemp("manifest") / "m.txt"
+    write_manifest(path, samples)
+    rows = read_manifest(path)
+    assert rows == [(s.target_date, s.tau, s.inter_dates, s.intra_dates) for s in samples]
+    text = path.read_text()
+    write_manifest(path, [dual_sample(t, tau.tau, inter) for t, tau, inter, _ in rows])
+    assert path.read_text() == text
+
+
+@given(samples=manifest_samples(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_mutated_manifests_raise_only_format_errors(tmp_path_factory, samples, data):
+    path = tmp_path_factory.mktemp("manifest") / "m.txt"
+    write_manifest(path, samples)
+    blob = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(blob)))
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        if kind == "insert":
+            blob[at:at] = data.draw(st.sampled_from(MANIFEST_PIECES))
+        elif kind == "replace":
+            blob[at:at + 1] = data.draw(st.sampled_from(MANIFEST_PIECES))
+        elif kind == "delete":
+            del blob[at:at + data.draw(st.integers(1, 8))]
+        else:
+            del blob[at:]
+    path.write_bytes(bytes(blob))
+    try:
+        rows = read_manifest(path)
+    except FormatError:
+        return
+    assert all(isinstance(tau, LeadTime) and len(inter) == len(intra) == 3 for _, tau, inter, intra in rows)
 
 
 def test_sample_inputs_are_read_only_gathers_of_the_stack():
