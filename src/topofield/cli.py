@@ -641,7 +641,8 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
 
     A value for a flag that takes one is parsed as the flag's text would be,
     by its type and choices: a bad value is a format error, a list or object
-    a usage error. A null value leaves the flag as it is.
+    a usage error. A switch takes a JSON boolean. A null value leaves the
+    flag as it is.
     """
     for sub in _subparsers(parser):
         defaults = {}
@@ -649,10 +650,13 @@ def _apply_config(parser: argparse.ArgumentParser, config: dict) -> None:
             value = config.get(action.dest)
             if value is None:
                 continue
-            if action.nargs != 0:  # not a switch such as --json
-                flag = action.option_strings[0] if action.option_strings else action.dest
-                if isinstance(value, (list, dict)):
-                    parser.error(f"config value for {flag} must be a single value, got {value!r}")
+            flag = action.option_strings[0] if action.option_strings else action.dest
+            if action.nargs == 0:  # a switch such as --json
+                if not isinstance(value, bool):
+                    raise FormatError(f"{flag} takes true or false (config value {value!r})")
+            elif isinstance(value, (list, dict)):
+                parser.error(f"config value for {flag} must be a single value, got {value!r}")
+            else:
                 try:
                     parsed = str(value) if action.type is None else action.type(str(value))
                 except (argparse.ArgumentTypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ import datetime as dt
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,15 +139,11 @@ class FieldStack:
         return cls(dates, values)
 
     def index_of(self, date: dt.date) -> int | None:
-        idx = self._date_index().get(date)
-        return idx
+        return self._date_index.get(date)
 
+    @cached_property
     def _date_index(self) -> dict:
-        cached = getattr(self, "_idx_cache", None)
-        if cached is None:
-            cached = {d: i for i, d in enumerate(self.dates)}
-            object.__setattr__(self, "_idx_cache", cached)
-        return cached
+        return {d: i for i, d in enumerate(self.dates)}
 
     def field(self, i: int) -> ScalarField:
         return ScalarField(self.values[i, 0])
@@ -202,8 +199,6 @@ def compute_norm_stats(stack: FieldStack, split: SplitSpec) -> NormStats:
         raise EmptyTrainingSet("no dates fall in the training years")
     pooled = stack.values[train_idx].ravel()
     p1, p99 = np.percentile(pooled, [1.0, 99.0])
-    if p99 - p1 < DEGENERATE_SPAN:
-        raise DegenerateStats(f"training values span {p99 - p1!r}")
     return NormStats(float(p1), float(p99))
 
 
@@ -229,7 +224,7 @@ def denormalized(values: np.ndarray, stats: NormStats) -> np.ndarray:
     bad = np.flatnonzero(~((lo >= -DENORM_SLACK) & (hi <= 1.0 + DENORM_SLACK)))
     if bad.size:
         i = bad[0]
-        raise OutOfRange(f"values in [{lo[i]!r}, {hi[i]!r}] exceed [0, 1] by more than {DENORM_SLACK}")
+        raise OutOfRange(f"values in [{float(lo[i])}, {float(hi[i])}] exceed [0, 1] by more than {DENORM_SLACK}")
     return values * stats.span + stats.p1
 
 

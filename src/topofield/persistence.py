@@ -39,9 +39,8 @@ from .field import as_values
 from .order import vertex_ranks
 
 INF = math.inf
-_WINDOW_CHUNK = 1 << 16  # window entries the bottleneck examines per block of rows
 _STRIP = 64  # points per birth strip of the bottleneck's column index
-_ROW_BLOCK = 128  # rows whose relevant edges the bottleneck builds at a time
+_ROW_BLOCK = 128  # rows per bottleneck pass; a pass scans at most 128 x m window entries
 
 # Recorded in machine-readable outputs for provenance.
 FILTRATION_CONFIG = {
@@ -540,17 +539,13 @@ class _Strips:
     def __init__(self, q: np.ndarray):
         n = len(q)
         by_birth = np.argsort(q[:, 0], kind="stable")
-        death_rank = _inverse(np.argsort(q[:, 1], kind="stable"))
-        key = np.arange(n) // _STRIP * (n + 1) + death_rank[by_birth]
+        by_death = np.argsort(q[:, 1], kind="stable")
+        key = np.arange(n) // _STRIP * (n + 1) + _inverse(by_death)[by_birth]
         order = np.argsort(key)  # the keys are distinct
-        self.sorted_births = q[by_birth, 0]
-        self.sorted_deaths = np.sort(q[:, 1])
+        self.sorted_births, self.sorted_deaths = q[by_birth, 0], q[by_death, 1]
         self.key = key[order]
         self.cols = by_birth[order].astype(np.int32)
         self.births, self.deaths = q[self.cols, 0], q[self.cols, 1]  # in key order
-
-    def __len__(self) -> int:
-        return len(self.cols)
 
 
 @np.errstate(over="ignore")
@@ -574,21 +569,15 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: _Strips):
     # one segment per (row, strip): the row's death window in that strip
     row = np.repeat(np.arange(len(p), dtype=np.int32), n_strips)
     strip = np.arange(row.size) + np.repeat(first - (np.cumsum(n_strips) - n_strips), n_strips)
-    base = strip * (len(q) + 1)
+    base = strip * (q.cols.size + 1)
     start = np.searchsorted(q.key, base + r_lo[row])
     count = np.searchsorted(q.key, base + r_hi[row]) - start
-    cuts = np.searchsorted(np.cumsum(count), np.arange(_WINDOW_CHUNK, count.sum(), _WINDOW_CHUNK), "right")
-    bounds = [0, *cuts.tolist(), row.size]
-    parts = []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        c = count[s0:s1]
-        i = np.repeat(row[s0:s1], c)
-        k = np.arange(i.size) + np.repeat(start[s0:s1] - (np.cumsum(c) - c), c)  # positions in key order
-        d = np.abs(p_births[i] - q.births[k])
-        np.maximum(d, np.abs(p_deaths[i] - q.deaths[k]), out=d)
-        keep = d < half_p[i]
-        parts.append((i[keep], q.cols[k[keep]], d[keep]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    i = np.repeat(row, count)
+    k = np.arange(i.size) + np.repeat(start - (np.cumsum(count) - count), count)  # positions in key order
+    d = np.abs(p_births[i] - q.births[k])
+    np.maximum(d, np.abs(p_deaths[i] - q.deaths[k]), out=d)
+    keep = d < half_p[i]
+    return i[keep], q.cols[k[keep]], d[keep]
 
 
 def _by_half(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -512,6 +512,13 @@ def test_bad_stats_file_is_exit_1(tmp_path, raw_stack, content, capsys):
     assert not out.exists()
 
 
+def test_stats_on_constant_training_values_is_degenerate(tmp_path, capsys):
+    path = tmp_path / "flat.gfs"
+    write_stack(FieldStack((dt.date(2015, 1, 1), dt.date(2015, 1, 2)), np.full((2, 1, 4, 5), 280.0)), path)
+    assert run(["stats", "--input", str(path), "--train-years", "2015"]) == 1
+    assert capsys.readouterr().err == "error [degenerate_stats]: p99 - p1 = 0.0 is below 1e-12\n"
+
+
 @pytest.mark.filterwarnings("error")
 def test_stats_whose_span_overflows_are_degenerate(tmp_path, capsys):
     pred = make_norm_stack(tmp_path, "p.gfs", n=2, seed=8)
@@ -600,6 +607,22 @@ def test_bad_config_value_names_its_flag(tmp_path, raw_stack, capsys):
     cfg.write_text(json.dumps({"date": "not-a-date"}))
     assert run(["stats", "--input", str(raw_stack), "--train-years", "2015", "--config", str(cfg)]) == 1
     assert "error [format_error]: --date" in capsys.readouterr().err
+
+
+def test_config_switch_takes_a_json_boolean(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CLIMATE_SPEC))
+    argv = ["synth", "--spec", str(spec), "--output", str(tmp_path / "x.gfs"), "--config", str(tmp_path / "cfg.json")]
+    (tmp_path / "cfg.json").write_text(json.dumps({"json": "no"}))
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error [format_error]: --json takes true or false (config value 'no')\n"
+    (tmp_path / "cfg.json").write_text(json.dumps({"json": False}))
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("n_fields: 1461\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"json": True}))
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n_fields"] == 1461
 
 
 def test_undecodable_config_is_exit_1(tmp_path, raw_stack, capsys):
@@ -1040,6 +1063,15 @@ def test_normalize_invert_matches_per_field_denormalize(tmp_path, raw_stack, sta
     with pytest.raises(OutOfRange) as first_bad:
         denormalize(read_stack(norm).field(5), stats)
     assert capsys.readouterr().err == f"error [out_of_range]: {first_bad.value}\n"
+
+
+def test_invert_on_kelvin_values_prints_plain_bounds(raw_stack, stats_file, tmp_path, capsys):
+    assert run(["normalize", "--input", str(raw_stack), "--stats", str(stats_file),
+                "--output", str(tmp_path / "back.gfs"), "--invert"]) == 1
+    first = read_stack(raw_stack).values[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [out_of_range]: values in [{float(first.min())}, {float(first.max())}] exceed [0, 1]")
+    assert "np.float64(" not in err
 
 
 def per_field_fuse(inter, intra, lam, residual, clamp):

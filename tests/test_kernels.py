@@ -507,10 +507,8 @@ def test_bottleneck_window_ends_keep_relevant_edges():
 def test_near_edges_match_the_dense_relevant_set(monkeypatch):
     rng = np.random.default_rng(302)
     on_window_end = on_death_end = 0
-    # many blocks, a row spanning several, and one block; one point a strip, a
-    # few, and all in one strip
-    for chunk, strip in ((3, 1), (3, 4), (1 << 16, 3), (1 << 16, 64)):
-        monkeypatch.setattr(persistence, "_WINDOW_CHUNK", chunk)
+    # one point a strip, a few, and all in one strip
+    for strip in (1, 4, 3, 64):
         monkeypatch.setattr(persistence, "_STRIP", strip)
         for _ in range(100):
             p = np.array(tenths_diagram(rng, int(rng.integers(0, 30)))).reshape(-1, 2)
@@ -525,6 +523,23 @@ def test_near_edges_match_the_dense_relevant_set(monkeypatch):
             on_death_end += sum(q[j, 1] in (p[i, 1] - half[i], p[i, 1] + half[i]) for i, j in want)
     # measured: 328 edges on a birth window end, 408 on a death window end
     assert on_window_end > 50 and on_death_end > 50
+
+
+def test_one_pass_over_a_wide_block_matches_the_dense_relevant_set():
+    # 128 long-lived rows whose windows take in most of 1,000 points
+    rng = np.random.default_rng(309)
+    births = rng.uniform(0, 1, 128)
+    p = np.column_stack((births, births + rng.uniform(3, 4, 128)))
+    births = rng.uniform(0, 1, 1000)
+    q = np.column_stack((births, births + rng.uniform(3, 4, 1000)))
+    half = (p[:, 1] - p[:, 0]) / 2.0
+    dist = np.maximum(np.abs(np.subtract.outer(p[:, 0], q[:, 0])), np.abs(np.subtract.outer(p[:, 1], q[:, 1])))
+    want_rows, want_cols = np.nonzero(dist < half[:, None])
+    assert want_rows.size > 1 << 16
+    rows, cols, d = persistence._near_edges(p, half, persistence._Strips(q))
+    order = np.lexsort((cols, rows))  # rows come in order, columns in key order
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols[order], want_cols)
+    assert np.array_equal(d[order], dist[want_rows, want_cols])
 
 
 def test_bottleneck_matches_dense_search_on_rounding_and_tie_heavy_diagrams():
@@ -662,8 +677,8 @@ def test_bottleneck_enumerates_rows_above_the_lower_bound_only(monkeypatch):
     calls = spy_rows(monkeypatch)
     bottleneck_distance(a, b)
     # a side's rows are handed with the other side as columns
-    rows_a = sum(half.size for half, q in calls if len(q) == n_b)
-    rows_b = sum(half.size for half, q in calls if len(q) == n_a)
+    rows_a = sum(half.size for half, q in calls if q.cols.size == n_b)
+    rows_b = sum(half.size for half, q in calls if q.cols.size == n_a)
     # measured: 247 of 721 and 151 of 729 rows
     assert rows_a < 0.4 * n_a and rows_b < 0.4 * n_b, (rows_a, n_a, rows_b, n_b)
     assert rows_a + rows_b < 0.3 * (n_a + n_b)
