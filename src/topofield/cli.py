@@ -26,6 +26,7 @@ from .field import (
     FieldStack,
     NormStats,
     SplitSpec,
+    as_values,
     compute_norm_stats,
     denormalize_stack,
     denormalized,
@@ -44,10 +45,10 @@ from .metrics import (
 from .persistence import (
     FILTRATION_CONFIG,
     PersistenceDiagram,
+    _sublevel_diagrams,
     bottleneck_distance,
     filter_by_persistence,
     read_diagram_csv,
-    sublevel_persistence,
     write_diagram_csv,
 )
 from .structural import build_structural_stack
@@ -255,7 +256,7 @@ def _cmd_persistence(args) -> dict:
     if stats is not None:
         field = normalized(field, stats)  # elementwise: the picked date alone needs it
     dims = [args.dim] if args.dim is not None else [0, 1]
-    diagrams = [sublevel_persistence(field, d) for d in dims]
+    diagrams = _sublevel_diagrams(as_values(field), dims)  # ranks the field once for both dimensions
     if args.min_persistence > 0:
         diagrams = [filter_by_persistence(pd, args.min_persistence) for pd in diagrams]
     if args.output:

@@ -41,6 +41,7 @@ from .order import vertex_ranks
 INF = math.inf
 _STRIP = 64  # points per birth strip of the bottleneck's column index
 _ROW_BLOCK = 128  # rows per bottleneck pass; a pass scans at most 128 x m window entries
+_NEAR = 48  # points of the other side, nearest in birth order, that the bottleneck's screen tries a row on
 
 # Recorded in machine-readable outputs for provenance.
 FILTRATION_CONFIG = {
@@ -276,15 +277,15 @@ def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.n
     return roots, key[at[steps]] // (len(blocks) * size), dead
 
 
-def _h0_union_find(values: np.ndarray) -> np.ndarray:
-    """H0 pairs as an (n, 2) array: ascending edge sweep over the vertices, whose ranks are their ages.
+def _h0_union_find(rank: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """H0 pairs as an (n, 2) array from :func:`_ranked`'s output: ascending
+    edge sweep over the vertices, whose ranks are their ages.
 
     A vertex's first edge in sweep order is to its first older neighbour
     (left, right, up, down), so the basins are those of that descent. Finite
     pairs come in the order of their merging edges, essential ones by birth
     rank.
     """
-    rank, vals = _ranked(values)
     w = rank.shape[1]
     row_edge = np.ones(rank.shape, dtype=bool)  # a horizontal edge leaves every vertex but a row's last
     row_edge[:, -1] = False
@@ -297,8 +298,9 @@ def _h0_union_find(values: np.ndarray) -> np.ndarray:
     return np.concatenate([finite, essential])
 
 
-def _h1_union_find(values: np.ndarray) -> np.ndarray:
-    """H1 pairs as an (n, 2) array: H0 of the superlevel 8-connected graph with an outside node.
+def _h1_union_find(rank: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """H1 pairs as an (n, 2) array from :func:`_ranked`'s output: H0 of the
+    superlevel 8-connected graph with an outside node.
 
     By image duality (Garin et al. 2020, arXiv:2005.04597), H1 of the
     sublevel V-construction is H0 of the superlevel sets under
@@ -312,7 +314,6 @@ def _h1_union_find(values: np.ndarray) -> np.ndarray:
     path through a third corner joins them no later. Pairs come by
     ascending death rank.
     """
-    rank, vals = _ranked(values)
     n = rank.size
     grid = np.zeros((rank.shape[0] + 2, rank.shape[1] + 2), dtype=rank.dtype)
     grid[1:-1, 1:-1] = n - rank
@@ -351,11 +352,15 @@ def sublevel_persistence(field, dim: int) -> PersistenceDiagram:
     defining vertices; +inf marks essential classes.
     """
     values = as_values(field)
-    if dim == 0:
-        return PersistenceDiagram(0, _h0_union_find(values))
-    if dim == 1:
-        return PersistenceDiagram(1, _h1_union_find(values))
-    raise DimensionMismatch(f"dimension must be 0 or 1, got {dim}")
+    if dim not in (0, 1):
+        raise DimensionMismatch(f"dimension must be 0 or 1, got {dim}")
+    return _sublevel_diagrams(values, (dim,))[0]
+
+
+def _sublevel_diagrams(values: np.ndarray, dims: Sequence[int]) -> list[PersistenceDiagram]:
+    """:func:`sublevel_persistence` of one checked grid in each of dims, its vertices ranked once."""
+    ranked = _ranked(values)
+    return [PersistenceDiagram(dim, (_h0_union_find, _h1_union_find)[dim](*ranked)) for dim in dims]
 
 
 def sublevel_persistence_reduction(field, dim: int) -> PersistenceDiagram:
@@ -491,6 +496,15 @@ def _hopcroft_karp(flat: Sequence[int], lo: list, hi: list, match_l: list, match
     return -1 not in match_l
 
 
+def _matched(rows: np.ndarray, cols: np.ndarray, k: int, match_l: list, match_r: list) -> bool:
+    """:func:`_hopcroft_karp` on rows 0..k-1, whose edges (rows, cols) come in
+    row order. The columns reach it as a memoryview: no Python list of every
+    edge is built."""
+    degree = np.bincount(rows, minlength=k)
+    ends = np.cumsum(degree)
+    return _hopcroft_karp(memoryview(cols), (ends - degree).tolist(), ends.tolist(), match_l, match_r)
+
+
 class _Cover:
     """One side's covering test: can every row forced at t (half above t) be
     matched to its own column at distance at most t?
@@ -500,8 +514,7 @@ class _Cover:
     that failed stays valid at every higher one: the search tests levels
     above the highest failure only, and each test augments that matching.
     Rows come in descending half, so the forced rows are a prefix, and edges
-    come in row order. The columns reach Hopcroft-Karp as a memoryview of
-    the edges within t: no Python list of every edge is built.
+    come in row order.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, half: np.ndarray, n_cols: int):
@@ -515,12 +528,9 @@ class _Cover:
         k = int(np.count_nonzero(self.half > t))
         end = int(np.searchsorted(self.rows, k))  # the forced rows' edges
         within = self.dist[:end] <= t
-        degree = np.bincount(self.rows[:end][within], minlength=k)
-        ends = np.cumsum(degree)
         match_l = self.failed[0][:k] + [-1] * (k - len(self.failed[0]))
         match_r = [-1 if u >= k else u for u in self.failed[1]]
-        flat = memoryview(self.cols[:end][within])
-        if _hopcroft_karp(flat, (ends - degree).tolist(), ends.tolist(), match_l, match_r):
+        if _matched(self.rows[:end][within], self.cols[:end][within], k, match_l, match_r):
             self.passed = t
             return True
         self.failed = match_l, match_r
@@ -533,7 +543,8 @@ class _Strips:
     The points are sorted by birth and cut into strips of _STRIP points;
     inside a strip they are ordered by death rank, under the key
     strip * (n + 1) + death rank. The points whose death rank lies in
-    [lo, hi) are then one run of keys in each strip.
+    [lo, hi) are then one run of keys in each strip. The columns and deaths
+    are also kept in birth order, for the lower bound's screen.
     """
 
     def __init__(self, q: np.ndarray):
@@ -546,6 +557,7 @@ class _Strips:
         self.key = key[order]
         self.cols = by_birth[order].astype(np.int32)
         self.births, self.deaths = q[self.cols, 0], q[self.cols, 1]  # in key order
+        self.birth_cols, self.birth_deaths = by_birth.astype(np.int32), q[by_birth, 1]  # in birth order
 
 
 @np.errstate(over="ignore")
@@ -580,6 +592,20 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: _Strips):
     return i[keep], q.cols[k[keep]], d[keep]
 
 
+@np.errstate(over="ignore")
+def _screen(p: np.ndarray, q: _Strips) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and L-infinity distances, computed as :func:`_near_edges`
+    computes them, of the _NEAR points of q nearest each row of p in birth
+    order: two (rows, min(_NEAR, m)) arrays."""
+    m = q.cols.size
+    width = min(_NEAR, m)
+    start = np.clip(np.searchsorted(q.sorted_births, p[:, 0]) - width // 2, 0, m - width)
+    at = start[:, None] + np.arange(width)
+    d = np.abs(p[:, :1] - q.sorted_births[at])
+    np.maximum(d, np.abs(p[:, 1:] - q.birth_deaths[at]), out=d)
+    return q.birth_cols[at], d
+
+
 def _by_half(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points of an (n, 2) array in descending half-persistence, and their halves.
 
@@ -593,6 +619,28 @@ def _by_half(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arr[order], half[order]
 
 
+def _joined(blocks: list) -> tuple:
+    """(rows, cols, d) blocks joined into one (rows, cols, d)."""
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _certificate(k: int, edges: tuple, lb, n_cols: int) -> tuple[bool, tuple[list, list]]:
+    """Hopcroft-Karp at lb on one side's forced rows (the first k) and the
+    edges at hand, (rows, cols, d) in any row order.
+
+    Each edge within lb of a forced row is relevant, so the graph is a
+    subgraph of the one the side's _Cover tests at lb, and a matching of
+    every row means that test passes too. Returns whether it does, and the
+    matching, which is a valid warm start for that test.
+    """
+    rows, cols, d = edges
+    keep = (rows < k) & (d <= lb)
+    rows, cols = rows[keep], cols[keep]
+    order = np.argsort(rows, kind="stable")
+    match_l, match_r = [-1] * k, [-1] * n_cols
+    return _matched(rows[order], cols[order], k, match_l, match_r), (match_l, match_r)
+
+
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     if not len(a) and not len(b):
         return 0.0
@@ -601,44 +649,94 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     # just its rows' relevant edges (d below the row's half), and feasibility
     # changes only at a half or a relevant distance. Every point pays at least
     # its half or its nearest relevant distance, and the largest payment lb
-    # bounds the optimum from below. Rows are visited by descending half, the
-    # side with the larger next half first, until that half is at most lb:
-    # such a row cannot raise lb, is never forced at t >= lb, and its
-    # distances lie below lb, so the search never needs its edges.
+    # bounds the optimum from below. A row whose half is at most lb cannot
+    # raise lb, is never forced at t >= lb, and its distances lie below lb, so
+    # no step needs its edges.
     sides = [_by_half(a), _by_half(b)]
     strips = [_Strips(arr) for arr, _ in sides]
     empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-    edges = [[empty], [empty]]
-    seen = [0, 0]
+    first = [empty, empty]  # each side's first block: its rows and all their relevant edges
+    # the edges at hand of each side's later rows: every relevant edge of a
+    # visited row, the window points of a screened one
+    known = [[], []]
     lb = 0.0
-    while True:
-        heads = [half[n] if n < half.size else -INF for (_, half), n in zip(sides, seen)]
-        s = int(heads[1] > heads[0])
-        if not heads[s] > lb:
-            break
-        (p, half), r0 = sides[s], seen[s]
-        r1 = r0 + int(np.count_nonzero(half[r0:r0 + _ROW_BLOCK] > lb))
-        rows, cols, d = _near_edges(p[r0:r1], half[r0:r1], strips[1 - s])
-        pay = half[r0:r1].copy()
-        np.minimum.at(pay, rows, d)
+
+    def visit(s: int, rows: np.ndarray) -> tuple:
+        """Every relevant edge of these rows (ascending); their payments raise lb."""
+        nonlocal lb
+        (p, half), q = sides[s], strips[1 - s]
+        i, cols, d = _near_edges(p[rows], half[rows], q)
+        pay = half[rows]
+        np.minimum.at(pay, i, d)
         lb = max(lb, pay.max())
-        edges[s].append((rows + r0, cols, d))
-        seen[s] = r1
+        return rows[i].astype(np.int32), cols, d
+
+    # (1) The lower bound. Each side's first block is visited, the side with
+    # the larger head first. Every later row with half above lb is screened
+    # on the _NEAR points of the other side nearest it in birth order: one
+    # within lb means the row pays at most lb, and only the rows left are
+    # visited. lb is the largest payment of all, as if every row were visited.
+    heads = [half[0] if half.size else -INF for _, half in sides]
+    seen = [0, 0]
+    for s in sorted((0, 1), key=lambda s: -heads[s]):  # side 0 first on a tie
+        seen[s] = int(np.count_nonzero(sides[s][1][:_ROW_BLOCK] > lb))
+        if seen[s]:
+            first[s] = visit(s, np.arange(seen[s]))
+    for s in (0, 1):
+        (p, half), q, r0 = sides[s], strips[1 - s], seen[s]
+        while r0 < half.size and half[r0] > lb:
+            r1 = r0 + int(np.count_nonzero(half[r0:r0 + _ROW_BLOCK] > lb))
+            cols, d = _screen(p[r0:r1], q)
+            settled = (d <= lb).any(axis=1)
+            rows = np.flatnonzero(settled).astype(np.int32) + r0
+            known[s].append((np.repeat(rows, cols.shape[1]), cols[settled].ravel(), d[settled].ravel()))
+            if not settled.all():
+                known[s].append(visit(s, r0 + np.flatnonzero(~settled)))
+            r0 = r1
     (_, half_a), (_, half_b) = sides
-    covers = (_Cover(*map(np.concatenate, zip(*edges[0])), half_a, half_b.size),
-              _Cover(*map(np.concatenate, zip(*edges[1])), half_b, half_a.size))
-    del edges  # the blocks, now joined in the covers
+    # the all-diagonal matching pays the largest half, which caps the optimum
+    cap = max(half_a[:1].tolist() + half_b[:1].tolist())
+    if lb == cap:
+        return float(lb)
+
+    # (2) The certificate: often lb is the optimum, and the edges at hand show it.
+    forced = [int(np.count_nonzero(half > lb)) for _, half in sides]
+    certs = [_certificate(forced[s], _joined([first[s], *known[s]]), lb, sides[1 - s][1].size) for s in (0, 1)]
+    if certs[0][0] and certs[1][0]:
+        return float(lb)
+
+    # (3) The fallback. A side whose certificate held passes at lb and so at
+    # every higher level: it needs no edges, and no level the search needs
+    # is one of its distances. A side whose certificate failed keeps its
+    # first block's edges and visits its other forced rows in order (their
+    # payments are at most lb, so lb stays); its test starts from the
+    # certificate's matching.
+    del known  # only the certificates read the window points
+    covers = []
+    for s, (held, match) in enumerate(certs):
+        half, n_cols, k = sides[s][1], sides[1 - s][1].size, forced[s]
+        if held:
+            cover = _Cover(*empty, half, n_cols)
+            cover.passed = lb
+        else:
+            blocks = [tuple(e[:np.searchsorted(first[s][0], k)] for e in first[s])]
+            first[s] = None  # its arrays now live on in blocks only
+            blocks += [visit(s, np.arange(r, min(r + _ROW_BLOCK, k))) for r in range(seen[s], k, _ROW_BLOCK)]
+            cover = _Cover(*_joined(blocks), half, n_cols)
+            cover.failed = match
+            del blocks  # now joined in the cover
+        covers.append(cover)
 
     def feasible(t: float) -> bool:
         # Mendelsohn-Dulmage: covers of each side's forced points merge into one matching
         return covers[0](t) and covers[1](t)
 
-    # the all-diagonal matching pays the largest half, which caps the optimum
-    cap = max(half_a[:1].tolist() + half_b[:1].tolist())
-    if lb == cap or feasible(lb):  # often the lower bound is the optimum
+    if feasible(lb):
         return float(lb)
-    levels = np.unique(np.concatenate((half_a, half_b, covers[0].dist, covers[1].dist)))
+    levels = np.concatenate((half_a, half_b, covers[0].dist, covers[1].dist))
+    levels.sort()  # in place: np.unique would sort a copy
     levels = levels[np.searchsorted(levels, lb, "right"):]  # the last is the cap
+    levels = levels[np.append(True, levels[1:] != levels[:-1])]
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -653,10 +751,13 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     """Exact bottleneck distance between two same-dimension diagrams.
 
     Finite pairs match each other or their diagonal projection; essential
-    pairs match by birth difference. Only relevant edges (pairs nearer than
-    the row's half-persistence) are built, and only for rows whose half lies
-    above the largest per-point lower bound. That bound is tested first,
-    then a binary search over the exact candidate costs.
+    pairs match by birth difference. Every point pays at least its half or
+    its nearest relevant distance (below its half), and the largest payment
+    bounds the distance from below. A few near points settle most rows'
+    payments; only the others have every relevant edge built. A matching on
+    the edges at hand then often shows the bound is the distance. Only when
+    it does not are the relevant edges of every row whose half lies above
+    the bound built, for a binary search over the exact candidate costs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")

@@ -34,7 +34,7 @@ from topofield import (
     tv,
     write_diagram_csv,
 )
-from topofield import cli
+from topofield import cli, persistence
 from topofield.cli import run
 from topofield.errors import OutOfRange
 from topofield.field import normalized
@@ -112,6 +112,22 @@ def test_persistence_csv_matches_library(tmp_path, raw_stack, capsys):
     got = read_diagram_csv(out)
     assert got[0].pairs == expected[0].pairs
     assert got.get(1, expected[1]).pairs == expected[1].pairs
+
+
+def test_persistence_ranks_the_field_once_for_both_dimensions(tmp_path, raw_stack, monkeypatch, capsys):
+    calls = []
+    vertex_ranks = persistence.vertex_ranks
+
+    def spy(values):
+        calls.append(values.shape)
+        return vertex_ranks(values)
+
+    monkeypatch.setattr(persistence, "vertex_ranks", spy)
+    out = tmp_path / "pd.csv"
+    assert run(["persistence", "--input", str(raw_stack), "--date", "2015-01-03", "--output", str(out)]) == 0
+    assert calls == [(12, 14)]
+    field = read_stack(raw_stack).values[2, 0]
+    assert out.read_text() == diagrams_to_csv([sublevel_persistence(field, 0), sublevel_persistence(field, 1)])
 
 
 def test_bottleneck_matches_library(tmp_path, raw_stack, capsys):

@@ -72,7 +72,7 @@ def signed_ties(f: np.ndarray, seed: int) -> np.ndarray:
 def kernel_pairs(field, dim: int) -> list[tuple[float, float]]:
     """The union-find kernel's pairs as (birth, death) tuples, in the kernel's order."""
     kernel = (persistence._h0_union_find, persistence._h1_union_find)[dim]
-    return [(b, d) for b, d in kernel(as_values(field)).tolist()]
+    return [(b, d) for b, d in kernel(*persistence._ranked(as_values(field))).tolist()]
 
 
 # topo_loss of rough_field(seed) against a prediction 0.02 noise away, plain
@@ -207,7 +207,7 @@ def assert_kernels_match_references(grid) -> None:
     values = as_values(grid)
     for dim, (kernel, reference) in enumerate([(persistence._h0_union_find, reference_h0_union_find),
                                                (persistence._h1_union_find, reference_h1_union_find)]):
-        got, want = kernel(values), reference(values)
+        got, want = kernel(*persistence._ranked(values)), reference(values)
         assert got.dtype == want.dtype and got.shape == want.shape, (grid, dim)
         assert got.tobytes() == want.tobytes(), (grid, dim)
 
@@ -682,6 +682,71 @@ def test_bottleneck_enumerates_rows_above_the_lower_bound_only(monkeypatch):
     # measured: 247 of 721 and 151 of 729 rows
     assert rows_a < 0.4 * n_a and rows_b < 0.4 * n_b, (rows_a, n_a, rows_b, n_b)
     assert rows_a + rows_b < 0.3 * (n_a + n_b)
+
+
+def spy_outcomes(monkeypatch) -> tuple[list[bool], list[float]]:
+    """Record whether each side's certificate held, and the level of every _Cover test."""
+    held, tests = [], []
+    certificate, call = persistence._certificate, persistence._Cover.__call__
+
+    def certificate_spy(*args):
+        result = certificate(*args)
+        held.append(result[0])
+        return result
+
+    def call_spy(cover, t):
+        tests.append(t)
+        return call(cover, t)
+
+    monkeypatch.setattr(persistence, "_certificate", certificate_spy)
+    monkeypatch.setattr(persistence._Cover, "__call__", call_spy)
+    return held, tests
+
+
+@pytest.mark.parametrize("near", [1, 2, 64])
+def test_certificate_and_fallback_match_oracles(monkeypatch, near):
+    # blocks of two rows, so that most rows go through the screen; 64 near
+    # points take in every point of these diagrams
+    monkeypatch.setattr(persistence, "_ROW_BLOCK", 2)
+    monkeypatch.setattr(persistence, "_NEAR", near)
+    held, tests = spy_outcomes(monkeypatch)
+    rng = np.random.default_rng(310)
+    misses = certified = fell_back = 0
+    for k in range(300):
+        make = crowded_diagram if k % 2 else integer_diagram
+        a, b = make(rng, 16), make(rng, 16 if k % 10 else 0)
+        held.clear()
+        tests.clear()
+        got = pruned_distance(a, b)
+        assert got == dense_bottleneck(a, b), (a, b)
+        if len(a) + len(b) <= 9:
+            assert got == exhaustive_bottleneck(a, b), (a, b)
+        miss = got > dense_lower_bound(a, b)
+        misses += miss
+        if held:
+            certified += all(held)
+            fell_back += not all(held)
+            assert all(held) == (not tests)  # only the fallback runs a _Cover test
+            assert not (miss and all(held))
+        if near == 64:  # every screen window is the whole other side: the certificate is exact
+            assert (bool(held) and not all(held)) == miss, (a, b)
+    # measured: 71 misses; 80 / 83 / 96 pairs certified and 87 / 84 / 71
+    # fallbacks at near 1 / 2 / 64 (the other 133 pairs have lb at the cap)
+    assert misses >= 50 and certified >= 55 and fell_back >= misses
+    if near < 64:
+        assert fell_back >= misses + 8  # a narrow window also fails where lb holds
+
+
+def test_certificate_settles_a_pair_where_the_lower_bound_holds(monkeypatch):
+    truth = small_rough_field((60, 120))
+    # noise seed 0: lb holds (with seed 1, as in the tests above, it does not)
+    noise = np.random.default_rng(0).standard_normal(truth.shape)
+    pred = np.clip(truth + 0.02 * noise, 0.0, 1.0)
+    a, b = sublevel_persistence(truth, 1), sublevel_persistence(pred, 1)
+    held, tests = spy_outcomes(monkeypatch)
+    got = bottleneck_distance(a, b)
+    assert got == dense_lower_bound(a.finite_pairs, b.finite_pairs)
+    assert held == [True, True] and tests == []
 
 
 # ---------------------------------------------------------------------------
