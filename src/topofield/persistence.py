@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -515,10 +515,17 @@ class _Cover:
     above the highest failure only, and each test augments that matching.
     Rows come in descending half, so the forced rows are a prefix, and edges
     come in row order.
+
+    The cover starts from the edges at hand, any subset of the side's edges:
+    a matching of every forced row on them is one on the full graph, so the
+    test passes. Its first failure drops them, takes every relevant edge of
+    the rows forced at that level from ``complete(k)``, and retries from the
+    matching it made, which stays valid on the full graph.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, half: np.ndarray, n_cols: int):
-        self.rows, self.cols, self.dist, self.half = rows, cols, dist, half
+    def __init__(self, edges: tuple, half: np.ndarray, n_cols: int, complete):
+        self.rows, self.cols, self.dist = edges
+        self.half, self.complete = half, complete  # complete is None once called
         self.passed = INF  # the lowest level that passed
         self.failed = [], [-1] * n_cols  # the matching at the highest level that failed
 
@@ -526,15 +533,20 @@ class _Cover:
         if t >= self.passed:
             return True
         k = int(np.count_nonzero(self.half > t))
-        end = int(np.searchsorted(self.rows, k))  # the forced rows' edges
-        within = self.dist[:end] <= t
         match_l = self.failed[0][:k] + [-1] * (k - len(self.failed[0]))
         match_r = [-1 if u >= k else u for u in self.failed[1]]
-        if _matched(self.rows[:end][within], self.cols[:end][within], k, match_l, match_r):
-            self.passed = t
-            return True
-        self.failed = match_l, match_r
-        return False
+        while True:
+            end = int(np.searchsorted(self.rows, k))  # the forced rows' edges
+            within = self.dist[:end] <= t
+            if _matched(self.rows[:end][within], self.cols[:end][within], k, match_l, match_r):
+                self.passed = t
+                return True
+            if self.complete is None:
+                self.failed = match_l, match_r
+                return False
+            self.rows = self.cols = self.dist = None  # freed before the full graph is built
+            self.rows, self.cols, self.dist = self.complete(k)
+            self.complete = None
 
 
 class _Strips:
@@ -624,21 +636,12 @@ def _joined(blocks: list) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _certificate(k: int, edges: tuple, lb, n_cols: int) -> tuple[bool, tuple[list, list]]:
-    """Hopcroft-Karp at lb on one side's forced rows (the first k) and the
-    edges at hand, (rows, cols, d) in any row order.
-
-    Each edge within lb of a forced row is relevant, so the graph is a
-    subgraph of the one the side's _Cover tests at lb, and a matching of
-    every row means that test passes too. Returns whether it does, and the
-    matching, which is a valid warm start for that test.
-    """
-    rows, cols, d = edges
-    keep = (rows < k) & (d <= lb)
-    rows, cols = rows[keep], cols[keep]
-    order = np.argsort(rows, kind="stable")
-    match_l, match_r = [-1] * k, [-1] * n_cols
-    return _matched(rows[order], cols[order], k, match_l, match_r), (match_l, match_r)
+def _in_row_order(blocks: list, lb) -> tuple:
+    """The edges within lb of (rows, cols, d) blocks, joined and stably sorted by row."""
+    rows, cols, d = _joined(blocks)
+    keep = np.flatnonzero(d <= lb)
+    keep = keep[np.argsort(rows[keep], kind="stable")]
+    return rows[keep], cols[keep], d[keep]
 
 
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
@@ -654,11 +657,11 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     # no step needs its edges.
     sides = [_by_half(a), _by_half(b)]
     strips = [_Strips(arr) for arr, _ in sides]
+    # each side's edges at hand: first its first block's (rows and all their
+    # relevant edges), then every relevant edge of a visited later row and
+    # the window points of a screened one
     empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
-    first = [empty, empty]  # each side's first block: its rows and all their relevant edges
-    # the edges at hand of each side's later rows: every relevant edge of a
-    # visited row, the window points of a screened one
-    known = [[], []]
+    at_hand = [[empty], [empty]]
     lb = 0.0
 
     def visit(s: int, rows: np.ndarray) -> tuple:
@@ -681,7 +684,7 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     for s in sorted((0, 1), key=lambda s: -heads[s]):  # side 0 first on a tie
         seen[s] = int(np.count_nonzero(sides[s][1][:_ROW_BLOCK] > lb))
         if seen[s]:
-            first[s] = visit(s, np.arange(seen[s]))
+            at_hand[s][0] = visit(s, np.arange(seen[s]))
     for s in (0, 1):
         (p, half), q, r0 = sides[s], strips[1 - s], seen[s]
         while r0 < half.size and half[r0] > lb:
@@ -689,9 +692,9 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
             cols, d = _screen(p[r0:r1], q)
             settled = (d <= lb).any(axis=1)
             rows = np.flatnonzero(settled).astype(np.int32) + r0
-            known[s].append((np.repeat(rows, cols.shape[1]), cols[settled].ravel(), d[settled].ravel()))
+            at_hand[s].append((np.repeat(rows, cols.shape[1]), cols[settled].ravel(), d[settled].ravel()))
             if not settled.all():
-                known[s].append(visit(s, r0 + np.flatnonzero(~settled)))
+                at_hand[s].append(visit(s, r0 + np.flatnonzero(~settled)))
             r0 = r1
     (_, half_a), (_, half_b) = sides
     # the all-diagonal matching pays the largest half, which caps the optimum
@@ -699,40 +702,28 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     if lb == cap:
         return float(lb)
 
-    # (2) The certificate: often lb is the optimum, and the edges at hand show it.
-    forced = [int(np.count_nonzero(half > lb)) for _, half in sides]
-    certs = [_certificate(forced[s], _joined([first[s], *known[s]]), lb, sides[1 - s][1].size) for s in (0, 1)]
-    if certs[0][0] and certs[1][0]:
-        return float(lb)
+    # (2) One cover a side, holding its edges at hand within lb. Its first
+    # test, at lb, is a certificate: often lb is the optimum, and those edges
+    # show it. A side that fails there keeps its first block's edges, visits
+    # its other forced rows in order (their payments are at most lb, so lb
+    # stays) and retries on every relevant edge. Both sides are tested, so a
+    # side that has not passed at lb is complete.
+    def complete(s: int, first_block: tuple, k: int) -> tuple:
+        blocks = [tuple(e[:np.searchsorted(first_block[0], k)] for e in first_block)]
+        blocks += [visit(s, np.arange(r, min(r + _ROW_BLOCK, k))) for r in range(seen[s], k, _ROW_BLOCK)]
+        return _joined(blocks)
 
-    # (3) The fallback. A side whose certificate held passes at lb and so at
-    # every higher level: it needs no edges, and no level the search needs
-    # is one of its distances. A side whose certificate failed keeps its
-    # first block's edges and visits its other forced rows in order (their
-    # payments are at most lb, so lb stays); its test starts from the
-    # certificate's matching.
-    del known  # only the certificates read the window points
-    covers = []
-    for s, (held, match) in enumerate(certs):
-        half, n_cols, k = sides[s][1], sides[1 - s][1].size, forced[s]
-        if held:
-            cover = _Cover(*empty, half, n_cols)
-            cover.passed = lb
-        else:
-            blocks = [tuple(e[:np.searchsorted(first[s][0], k)] for e in first[s])]
-            first[s] = None  # its arrays now live on in blocks only
-            blocks += [visit(s, np.arange(r, min(r + _ROW_BLOCK, k))) for r in range(seen[s], k, _ROW_BLOCK)]
-            cover = _Cover(*_joined(blocks), half, n_cols)
-            cover.failed = match
-            del blocks  # now joined in the cover
-        covers.append(cover)
+    covers = [_Cover(_in_row_order(at_hand[s], lb), sides[s][1], sides[1 - s][1].size,
+                     partial(complete, s, at_hand[s][0])) for s in (0, 1)]
+    del at_hand  # the covers keep their edges within lb and their first blocks only
+    if all([cover(lb) for cover in covers]):
+        return float(lb)
 
     def feasible(t: float) -> bool:
         # Mendelsohn-Dulmage: covers of each side's forced points merge into one matching
         return covers[0](t) and covers[1](t)
 
-    if feasible(lb):
-        return float(lb)
+    # a cover that was never completed holds distances within lb only: no level
     levels = np.concatenate((half_a, half_b, covers[0].dist, covers[1].dist))
     levels.sort()  # in place: np.unique would sort a copy
     levels = levels[np.searchsorted(levels, lb, "right"):]  # the last is the cap
@@ -754,10 +745,11 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     pairs match by birth difference. Every point pays at least its half or
     its nearest relevant distance (below its half), and the largest payment
     bounds the distance from below. A few near points settle most rows'
-    payments; only the others have every relevant edge built. A matching on
-    the edges at hand then often shows the bound is the distance. Only when
-    it does not are the relevant edges of every row whose half lies above
-    the bound built, for a binary search over the exact candidate costs.
+    payments; only the others have every relevant edge built. Each side's
+    covering test starts from the edges at hand, and its first test, at the
+    bound, often shows the bound is the distance. A side that fails there
+    builds the relevant edges of every row whose half lies above the bound,
+    once, and a binary search runs over the exact candidate costs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")
