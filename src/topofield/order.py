@@ -14,38 +14,49 @@ import numpy as np
 from .errors import GridTooSmall
 
 
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, axis=-1, kind="stable")`` for values without NaN.
+
+    Each row along the last axis is sorted with the default (unstable)
+    argsort, several times faster than the stable one on floats; then each
+    run of equal sorted values gets its indices back in ascending order, by
+    one sort of (run start, index) keys over the tied positions of all rows.
+    -0.0 and 0.0 count as equal, as they do in a stable sort.
+    """
+    order = np.argsort(values, axis=-1)
+    if not order.size:
+        return order
+    n = values.shape[-1]
+    flat_order = order.reshape(-1)
+    sorted_values = values.reshape(-1)[flat_order + np.arange(0, order.size, n).repeat(n)]
+    tie = sorted_values[1:] == sorted_values[:-1]
+    tie[n - 1::n] = False  # a row's last value and the next row's first
+    in_run = np.zeros(order.size, dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    starts = in_run.copy()
+    starts[1:] &= ~tie
+    pos = np.flatnonzero(in_run)
+    run = np.maximum.accumulate(np.where(starts[pos], pos, 0))  # each tied position's run start
+    keys = run * n + flat_order[pos]
+    keys.sort()
+    flat_order[pos] = keys % n
+    return order
+
+
 def vertex_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank every cell of a grid, or of each grid along leading batch axes.
 
     Returns ``(rank, order)`` over the flattened cells of each grid, both of
     shape ``values.shape[:-2] + (h * w,)``: ``rank[..., i]`` is the position
     of cell i in the ascending perturbed order, and ``order[..., r]`` is the
-    flat cell index at position r (so ``order`` inverts ``rank``).
-
-    The values are sorted with the default (unstable) argsort; then each run
-    of equal sorted values gets its cell indices back in ascending order, by
-    one sort of (run start, index) keys over the tied positions only. That
-    is the order of a stable sort, -0.0 and 0.0 counting as equal.
+    flat cell index at position r (so ``order`` inverts ``rank``). ``order``
+    is :func:`stable_argsort` of the grids' flattened values.
     """
     cells = values.shape[-2] * values.shape[-1]
     if not cells:
         raise GridTooSmall(f"a {values.shape[-2]}x{values.shape[-1]} grid has no cells to rank")
-    flat = values.reshape(-1, cells)
-    order = np.argsort(flat, axis=-1)
-    sorted_values = np.take_along_axis(flat, order, axis=-1)
-    tie = sorted_values[:, 1:] == sorted_values[:, :-1]
-    in_run = np.zeros(flat.shape, dtype=bool)
-    in_run[:, 1:] = tie
-    in_run[:, :-1] |= tie
-    starts = in_run.copy()
-    starts[:, 1:] &= ~tie
-    pos = np.flatnonzero(in_run)
-    # each tied position's run start, a flat position below rows * cells
-    run = np.maximum.accumulate(np.where(starts.ravel()[pos], pos, 0))
-    flat_order = order.reshape(-1)
-    keys = run * cells + flat_order[pos]
-    keys.sort()
-    flat_order[pos] = keys % cells
+    order = stable_argsort(values.reshape(-1, cells))
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(cells), axis=-1)
     shape = values.shape[:-2] + (cells,)

@@ -36,12 +36,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, EssentialCountMismatch, FormatError
 from .field import as_values
-from .order import vertex_ranks
+from .order import stable_argsort, vertex_ranks
 
 INF = math.inf
 _STRIP = 64  # points per birth strip of the bottleneck's column index
 _ROW_BLOCK = 128  # rows per bottleneck pass; a pass scans at most 128 x m window entries
 _NEAR = 48  # points of the other side, nearest in birth order, that the bottleneck's screen tries a row on
+_FIRST_BIT = np.array([(p & -p).bit_length() - 1 for p in range(256)])  # a byte's lowest set bit, -1 for none
 
 # Recorded in machine-readable outputs for provenance.
 FILTRATION_CONFIG = {
@@ -115,9 +116,9 @@ class PersistenceDiagram:
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ranks as an (h, w) grid, and the field value at each rank."""
+    """Vertex ranks as an (h, w) int32 grid, and the field value at each rank."""
     rank, order = vertex_ranks(values)
-    return rank.reshape(values.shape), values.ravel()[order]
+    return rank.reshape(values.shape).astype(np.int32), values.ravel()[order]
 
 
 def _edge_ends(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,13 +143,27 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 
 
 def _first_of_each_pair(lo: np.ndarray, hi: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Positions, ascending, of the first occurrence of each (lo, hi) pair."""
-    key = lo * n_nodes + hi
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.ones(key.size, dtype=bool)
-    starts[1:] = key[1:] != key[:-1]
-    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
+    """Positions, ascending, of the first occurrence of each (lo, hi) pair.
+
+    One sort groups the positions by pair. Where pair and position fit in
+    one int64, a sort of the packed values (faster than an argsort) also
+    orders each pair's positions, so a group's first is its smallest;
+    otherwise an argsort groups them and ``minimum.reduceat`` takes each
+    group's smallest.
+    """
+    pair = lo.astype(np.int64) * n_nodes + hi
+    shift = lo.size.bit_length()
+    packs = n_nodes * n_nodes << shift <= 1 << 63
+    if packs:
+        packed = np.sort(pair << shift | np.arange(lo.size))
+        pos, pair = packed & ((1 << shift) - 1), packed >> shift
+    else:
+        pos = np.argsort(pair)
+        pair = pair[pos]
+    starts = np.ones(pair.size, dtype=bool)
+    starts[1:] = pair[1:] != pair[:-1]
+    starts = np.flatnonzero(starts)
+    return np.sort(pos[starts] if packs else np.minimum.reduceat(pos, starts))
 
 
 def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,16 +188,17 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
     label = np.arange(n_nodes)
     first = np.full(n_nodes, n_edges)  # each label's first edge this round, n_edges if it has none
     edge = np.flatnonzero(ends_a != ends_b)  # a self-loop merges nothing
-    a, b = ends_a[edge], ends_b[edge]
+    a, b = ends_a[edge].astype(np.intp), ends_b[edge].astype(np.intp)  # labels index without a cast
     steps, dead = [], []
     while edge.size:
         m = edge.size
-        np.minimum.at(first, np.concatenate([a, b]), np.tile(np.arange(m), 2))
+        np.minimum.at(first, a, np.arange(m))
+        np.minimum.at(first, b, np.arange(m))
         nodes = np.flatnonzero(first < n_edges)
         at = first[nodes]
         first[nodes] = n_edges
         other = a[at] + b[at] - nodes
-        dies = other < nodes
+        dies = np.flatnonzero(other < nodes)
         killed = nodes[dies]
         steps.append(edge[at[dies]])
         dead.append(killed)
@@ -223,58 +239,68 @@ def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.n
     """Elder-rule merges of a grid graph, contracted to basins first.
 
     ``age`` gives every node of a flattened grid its age, 0 the oldest. Ages
-    are distinct, except that all nodes of age 0 are one node (the outside).
-    Each of ``blocks`` is a (da, db, listed) triple with da < db: edge p of
-    the block joins nodes p + da and p + db, and ``listed`` masks the edges
-    that exist (None: every p that keeps both ends on the grid). An edge's
-    time is the age of its younger end. Edges of equal time are swept in
-    block order, and by p within a block.
+    are distinct, except that all nodes of age 0 are one node (the outside),
+    and every age up to the largest is some node's. Each of ``blocks`` is a
+    (da, db, listed) triple with da < db: edge p of the block joins nodes
+    p + da and p + db, and ``listed`` masks the edges that exist (None:
+    every p that keeps both ends on the grid). An edge's time is the age of
+    its younger end. Edges of equal time are swept in block order, and by p
+    within a block.
 
     Each node points to the far end of its first edge in sweep order, if
     that end is older: the node joins there at its own age, and no pair is
-    born. Pointer jumping gives every node its basin, the tree of a root
-    that points nowhere. Only the first edge in sweep order between two
-    basins can merge them, so :func:`_elder_merges` sweeps just those edges,
-    with basins numbered from the oldest. A killed root is never its merging
-    edge's younger end, so no merge is a pair of zero persistence.
+    born. A node's edges to older nodes are those of its own time, swept by
+    side: by block, and in a block as the db end first. One bit per side in
+    a byte per node marks them, and the lowest set bit is the first. Pointer
+    jumping gives every node its basin, the tree of a root that points
+    nowhere. A second byte per node marks its edges to older nodes of other
+    basins; unpacked in age order, it lists every cross-basin edge once, by
+    time and then by side: the sweep order, without a sort. Only the first
+    edge in sweep order between two basins can merge them, so
+    :func:`_first_of_each_pair` keeps it and :func:`_elder_merges` sweeps
+    just those edges, with basins numbered from the oldest. A killed root
+    is never its merging edge's younger end, so no merge is a pair of zero
+    persistence.
 
     Returns the age of every basin's root, oldest first, and the time and
     the killed basin of every merging edge, in sweep order.
     """
     size = age.size
-    node = np.arange(size)
-    ptr = node.copy()
-    for da, db, listed in reversed(blocks):  # a node's first edge is written last
-        m = size - db if listed is None else listed.size
-        for x, y in ((da, db), (db, da)):  # in a block, a node's edge as the db end comes first
-            older = age[y:y + m] < age[x:x + m]
-            if listed is not None:
-                older &= listed
-            np.copyto(ptr[x:x + m], node[y:y + m], where=older)
-    up = ptr[ptr]
+    # side j of node x + i: the edge to y + i, for i < m (x, y, m, listed)
+    sides = [(x, y, size - db if listed is None else listed.size, listed)
+             for da, db, listed in blocks for x, y in ((db, da), (da, db))]
+    # side j's far end as an offset from the node; index -1 (no older side) stays put
+    step = np.array([y - x for x, y, _, _ in sides] + [0], dtype=np.int32)
+    older = []
+    pattern = np.zeros(size, dtype=np.uint8)  # bit j: side j leads to an older node
+    for j, (x, y, m, listed) in enumerate(sides):
+        older.append(age[y:y + m] < age[x:x + m])
+        if listed is not None:
+            older[j] &= listed
+        pattern[x:x + m] |= older[j].view(np.uint8) << j
+    # take gathers at int32 indices without first casting them to intp
+    ptr = np.arange(size, dtype=np.int32) + step[_FIRST_BIT[:1 << len(sides)]].take(pattern)
+    up = ptr.take(ptr)
     while not np.array_equal(up, ptr):
-        ptr, up = up, up[up]
-    root_age = age[ptr]
+        ptr, up = up, up.take(up)
+    root_age = age.take(ptr)
     is_root = np.zeros(size, dtype=bool)
     is_root[root_age] = True
     roots = np.flatnonzero(is_root)
-    basin = (np.cumsum(is_root) - 1)[root_age]
-    lo, hi, key = [], [], []
-    for k, (da, db, listed) in enumerate(blocks):
-        m = size - db if listed is None else listed.size
-        cross = basin[da:da + m] != basin[db:db + m]
-        if listed is not None:
-            cross &= listed
-        p = np.flatnonzero(cross)
-        a, b = basin[p + da], basin[p + db]
-        lo.append(np.minimum(a, b))
-        hi.append(np.maximum(a, b))
-        key.append(np.maximum(age[p + da], age[p + db]) * (len(blocks) * size) + (k * size + p))
-    lo, hi, key = np.concatenate(lo), np.concatenate(hi), np.concatenate(key)
-    at = np.argsort(key)  # the sweep order: the keys are distinct
-    at = at[_first_of_each_pair(lo[at], hi[at], roots.size)]
+    basin = (np.cumsum(is_root, dtype=np.int32) - 1).take(root_age)
+    crossed = np.zeros(size, dtype=np.uint8)  # bit j: side j leads to an older node of another basin
+    for j, (x, y, m, _) in enumerate(sides):
+        crossed[x:x + m] |= (older[j] & (basin[x:x + m] != basin[y:y + m])).view(np.uint8) << j
+    node = np.empty(int(age.max()) + 1, dtype=np.int32)
+    node[age] = np.arange(size, dtype=np.int32)  # the node of each age (of age 0, one that crosses nothing)
+    # each cross-basin edge as age * 8 + side of its younger end, ascending
+    key = np.flatnonzero(np.unpackbits(crossed.take(node), bitorder="little").view(bool))
+    younger = node[key >> 3]
+    a, b = basin.take(younger), basin.take(younger + step[key & 7])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    at = _first_of_each_pair(lo, hi, roots.size)
     steps, dead = _elder_merges(roots.size, lo[at], hi[at])
-    return roots, key[at[steps]] // (len(blocks) * size), dead
+    return roots, key[at[steps]] >> 3, dead
 
 
 def _h0_union_find(rank: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -496,13 +522,12 @@ def _hopcroft_karp(flat: Sequence[int], lo: list, hi: list, match_l: list, match
     return -1 not in match_l
 
 
-def _matched(rows: np.ndarray, cols: np.ndarray, k: int, match_l: list, match_r: list) -> bool:
-    """:func:`_hopcroft_karp` on rows 0..k-1, whose edges (rows, cols) come in
-    row order. The columns reach it as a memoryview: no Python list of every
-    edge is built."""
-    degree = np.bincount(rows, minlength=k)
-    ends = np.cumsum(degree)
-    return _hopcroft_karp(memoryview(cols), (ends - degree).tolist(), ends.tolist(), match_l, match_r)
+def _matched(cols: np.ndarray, ends: np.ndarray, match_l: list, match_r: list) -> bool:
+    """:func:`_hopcroft_karp` on rows 0..len(ends)-1, where row u's columns
+    are ``cols[ends[u - 1]:ends[u]]`` (from 0 for row 0). The columns reach
+    it as a memoryview: no Python list of every edge is built."""
+    ends = ends.tolist()
+    return _hopcroft_karp(memoryview(cols), [0] + ends[:-1], ends, match_l, match_r)
 
 
 class _Cover:
@@ -536,9 +561,10 @@ class _Cover:
         match_l = self.failed[0][:k] + [-1] * (k - len(self.failed[0]))
         match_r = [-1 if u >= k else u for u in self.failed[1]]
         while True:
-            end = int(np.searchsorted(self.rows, k))  # the forced rows' edges
-            within = self.dist[:end] <= t
-            if _matched(self.rows[:end][within], self.cols[:end][within], k, match_l, match_r):
+            # row u's edges are start[u]:start[u + 1]; same-dtype queries spare a cast of the rows
+            start = np.searchsorted(self.rows, np.arange(k + 1, dtype=self.rows.dtype))
+            within = np.flatnonzero(self.dist[:start[k]] <= t)
+            if _matched(self.cols[within], np.searchsorted(within, start[1:]), match_l, match_r):
                 self.passed = t
                 return True
             if self.complete is None:
@@ -554,15 +580,16 @@ class _Strips:
 
     The points are sorted by birth and cut into strips of _STRIP points;
     inside a strip they are ordered by death rank, under the key
-    strip * (n + 1) + death rank. The points whose death rank lies in
+    strip * (n + 1) + death rank. Both orders are stable, from
+    :func:`.order.stable_argsort`. The points whose death rank lies in
     [lo, hi) are then one run of keys in each strip. The columns and deaths
     are also kept in birth order, for the lower bound's screen.
     """
 
     def __init__(self, q: np.ndarray):
         n = len(q)
-        by_birth = np.argsort(q[:, 0], kind="stable")
-        by_death = np.argsort(q[:, 1], kind="stable")
+        by_birth = stable_argsort(q[:, 0])
+        by_death = stable_argsort(q[:, 1])
         key = np.arange(n) // _STRIP * (n + 1) + _inverse(by_death)[by_birth]
         order = np.argsort(key)  # the keys are distinct
         self.sorted_births, self.sorted_deaths = q[by_birth, 0], q[by_death, 1]
@@ -591,7 +618,7 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: _Strips):
     r_lo = np.searchsorted(q.sorted_deaths, p_deaths - half_p, "left")
     r_hi = np.searchsorted(q.sorted_deaths, p_deaths + half_p, "right")
     # one segment per (row, strip): the row's death window in that strip
-    row = np.repeat(np.arange(len(p), dtype=np.int32), n_strips)
+    row = np.repeat(np.arange(len(p)), n_strips)
     strip = np.arange(row.size) + np.repeat(first - (np.cumsum(n_strips) - n_strips), n_strips)
     base = strip * (q.cols.size + 1)
     start = np.searchsorted(q.key, base + r_lo[row])
@@ -600,7 +627,7 @@ def _near_edges(p: np.ndarray, half_p: np.ndarray, q: _Strips):
     k = np.arange(i.size) + np.repeat(start - (np.cumsum(count) - count), count)  # positions in key order
     d = np.abs(p_births[i] - q.births[k])
     np.maximum(d, np.abs(p_deaths[i] - q.deaths[k]), out=d)
-    keep = d < half_p[i]
+    keep = np.flatnonzero(d < half_p[i])
     return i[keep], q.cols[k[keep]], d[keep]
 
 
@@ -622,12 +649,13 @@ def _by_half(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points of an (n, 2) array in descending half-persistence, and their halves.
 
     A half is (death - birth) / 2, or death/2 - birth/2 where the difference
-    overflows.
+    overflows. The order is :func:`.order.stable_argsort` of the negated
+    halves, so points with equal halves keep their order.
     """
     with np.errstate(over="ignore"):
         span = arr[:, 1] - arr[:, 0]
     half = np.where(np.isinf(span), arr[:, 1] / 2.0 - arr[:, 0] / 2.0, span / 2.0)
-    order = np.argsort(-half, kind="stable")
+    order = stable_argsort(-half)
     return arr[order], half[order]
 
 

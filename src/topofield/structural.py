@@ -131,11 +131,13 @@ def _channels(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     t = _type_map(rank)
     # offset each field's ranks so one counting table serves the block
     keys = rank + (np.arange(n) * (h * w))[:, None, None]
-    c = _contour_mask(keys, keys[t == T_SADDLE])
+    c = _contour_mask(keys, keys.take(np.flatnonzero(t == T_SADDLE)))
     out[:, 0] = block
     out[:, 1] = t
-    out[:, 2] = 0.0
-    np.copyto(out[:, 2], block, where=t != T_REGULAR)
+    # V keeps a critical cell's value bit for bit and writes +0.0 elsewhere:
+    # an AND with all-ones or all-zero words, which unlike a masked copy does
+    # not branch on a mask that is true at about 64 % of cells
+    np.bitwise_and(block.view(np.int64), -(t != T_REGULAR).astype(np.int64), out=out[:, 2].view(np.int64))
     out[:, 3] = c
     return out
 

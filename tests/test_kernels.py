@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -41,11 +43,11 @@ from topofield import (
     tail_overlap,
     topo_loss,
 )
-from topofield import persistence
+from topofield import order, persistence
 from topofield.errors import DegenerateSample, FormatError, OutOfRange, ShapeMismatch, ZeroVariance
 from topofield.metrics import _SSIM_KERNEL, _bandwidth, _kde, _kde_pair, _local_mean
 from topofield.field import _CHUNK_CELLS, as_values
-from topofield.order import vertex_ranks
+from topofield.order import stable_argsort, vertex_ranks
 from topofield.structural import T_MAXIMUM, T_MINIMUM, T_SADDLE
 from topofield.synthetic import _smooth_field
 
@@ -298,6 +300,21 @@ def test_contracted_sweep_matches_plain_union_find():
     assert contracted > 5000
 
 
+@pytest.mark.parametrize("n_nodes", [7, 300, 2**30], ids=["few", "many", "unpackable"])
+def test_first_of_each_pair_keeps_each_pairs_first_position(n_nodes):
+    # at 2**30 nodes a pair id fits in an int64 but a pair and a position of
+    # 50 or more edges do not, and an argsort groups the pairs
+    rng = np.random.default_rng(311)
+    for m in (0, 1, 2, 50, 3000):
+        lo = rng.integers(0, min(n_nodes, 9), size=m) * (n_nodes // 9 + 1) % n_nodes
+        hi = (lo + rng.integers(1, 4, size=m)) % n_nodes
+        first = {}
+        for pos, pair in enumerate(zip(lo.tolist(), hi.tolist())):
+            first.setdefault(pair, pos)
+        got = persistence._first_of_each_pair(lo, hi, n_nodes)
+        assert got.tolist() == sorted(first.values()), (n_nodes, m)
+
+
 def spy_rounds(monkeypatch) -> list[int]:
     """Record, for every elder-rule round, how many edges it leaves."""
     left = []
@@ -391,6 +408,26 @@ def test_thin_and_constant_grids_agree_with_reduction(shape):
     for a in grids:
         for b in grids:
             assert topo_loss(a, b) == dense_bottleneck(kernel_pairs(a, 1), kernel_pairs(b, 1)), (a, b)
+
+
+@pytest.mark.parametrize("grid", [np.full((5, 7), 0.25), np.array([[3.0]]), np.arange(9.0)[None], np.arange(9.0)[::-1, None]],
+                         ids=["constant", "1x1", "1xn-ramp", "nx1-ramp"])
+def test_grids_with_no_cross_basin_edge(monkeypatch, grid):
+    # every vertex drains into one basin in both sweeps (H1's through the
+    # outside), so the basin dedupe and the union-find see no edge at all
+    calls = []
+    elder_merges = persistence._elder_merges
+
+    def spy(n_nodes, ends_a, ends_b):
+        calls.append((n_nodes, ends_a.size))
+        return elder_merges(n_nodes, ends_a, ends_b)
+
+    monkeypatch.setattr(persistence, "_elder_merges", spy)
+    assert sublevel_persistence(grid, 0).pairs == ((float(grid.min()), math.inf),)
+    assert sublevel_persistence(grid, 1).pairs == ()
+    assert calls == [(1, 0), (1, 0)]
+    assert sublevel_persistence_reduction(grid, 0).pairs == ((float(grid.min()), math.inf),)
+    assert sublevel_persistence_reduction(grid, 1).pairs == ()
 
 
 def integer_diagram(rng, max_points: int) -> list[tuple[float, float]]:
@@ -828,6 +865,54 @@ def test_vertex_ranks_equal_a_stable_argsort():
     assert tied_rows > 50 and untied_rows > 10, (tied_rows, untied_rows)
 
 
+@pytest.mark.parametrize("values", [
+    [2.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0],  # ties
+    [0.0, -0.0, 0.0, -1.0, -0.0, 1.0, 0.0, -0.0],  # signed zeros compare equal
+    [np.inf, -np.inf, np.inf, 0.0, -np.inf, 5e-324, -5e-324],
+    [1.0 + k * 2.0**-52 for k in (3, 1, 3, 0, 2, 1)],  # ties among values one ulp apart
+    [],
+    [7.0],
+], ids=["ties", "signed-zeros", "infinities", "ulps", "empty", "one"])
+def test_stable_argsort_equals_numpy_stable_argsort(values):
+    x = np.array(values, dtype=np.float64)
+    got = stable_argsort(x)
+    assert got.dtype == np.intp and np.array_equal(got, np.argsort(x, kind="stable"))
+    strided = np.stack([x, -x], 1)[:, 1]  # a column of a pair array, as the bottleneck passes
+    assert np.array_equal(stable_argsort(strided), np.argsort(strided, kind="stable"))
+    rows = np.stack([x, x[::-1], np.sort(x)])  # rows whose ends tie with the next row's start
+    assert np.array_equal(stable_argsort(rows), np.argsort(rows, axis=-1, kind="stable"))
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=300)
+       | st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.inf]), max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_stable_argsort_equals_numpy_stable_argsort_on_random_floats(values):
+    x = np.array(values, dtype=np.float64)
+    assert np.array_equal(stable_argsort(x), np.argsort(x, kind="stable"))
+    rows = x[:x.size // 3 * 3].reshape(-1, 3)
+    assert np.array_equal(stable_argsort(rows), np.argsort(rows, axis=-1, kind="stable"))
+
+
+def test_vertex_ranks_and_the_bottleneck_order_through_one_helper(monkeypatch):
+    calls = []
+
+    def spy(values):
+        calls.append(values.size)
+        return stable_argsort(values)
+
+    monkeypatch.setattr(order, "stable_argsort", spy)
+    monkeypatch.setattr(persistence, "stable_argsort", spy)
+    vertex_ranks(np.zeros((3, 4, 5)))
+    assert calls == [60]  # one call for the batch
+    a = PersistenceDiagram(1, [(0.0, 2.0), (0.5, 1.0)])
+    calls.clear()
+    assert bottleneck_distance(a, PersistenceDiagram(1, [(0.1, 1.9)])) == 0.25
+    assert sorted(calls) == [1, 1, 1, 2, 2, 2]  # each side's halves, births and deaths
+    calls.clear()
+    assert bottleneck_distance(a, PersistenceDiagram(1, [])) == 1.0  # an empty side is ordered too
+    assert sorted(calls) == [0, 0, 0, 2, 2, 2]
+
+
 def small_rough_field(shape=(24, 32)) -> np.ndarray:
     """A rough field with a few hundred saddles, small enough for the oracles."""
     noise = np.random.default_rng(0).standard_normal(shape)
@@ -911,6 +996,18 @@ def test_stack_matches_per_field_channels_and_ring_recount_on_tie_heavy_grids():
                     elif changes == 0:
                         want = T_MINIMUM if all(above) else T_MAXIMUM
                     assert t[r, c] == want, (f, r, c)
+
+
+def test_v_channel_keeps_each_critical_value_bit_for_bit():
+    # signed zeros and values just below 0 (inside the normalization
+    # tolerance) at critical and regular cells: V is the field's value where
+    # T is not regular, bit for bit, and +0.0 elsewhere
+    rng = np.random.default_rng(44)
+    fields = [rng.choice([-0.0, 0.0, -1e-10, 0.5, 1.0], size=(6, 9)) for _ in range(20)]
+    got = build_structural_stack(date_stack(fields), threads=1).values
+    for f, (_, t, v, _) in zip(fields, got):
+        assert v.tobytes() == np.where(t != 0.0, f, 0.0).tobytes()
+    assert np.signbit(got[:, 2][got[:, 1] != 0.0]).any() and not np.signbit(got[:, 2][got[:, 1] == 0.0]).any()
 
 
 def test_multi_chunk_stack_is_thread_count_independent():
