@@ -116,9 +116,9 @@ class PersistenceDiagram:
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex ranks as an (h, w) int32 grid, and the field value at each rank."""
+    """Vertex ranks as an (h, w) grid, and the field value at each rank."""
     rank, order = vertex_ranks(values)
-    return rank.reshape(values.shape).astype(np.int32), values.ravel()[order]
+    return rank.reshape(values.shape), values.ravel()[order]
 
 
 def _edge_ends(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,27 +143,13 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 
 
 def _first_of_each_pair(lo: np.ndarray, hi: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Positions, ascending, of the first occurrence of each (lo, hi) pair.
-
-    One sort groups the positions by pair. Where pair and position fit in
-    one int64, a sort of the packed values (faster than an argsort) also
-    orders each pair's positions, so a group's first is its smallest;
-    otherwise an argsort groups them and ``minimum.reduceat`` takes each
-    group's smallest.
-    """
-    pair = lo.astype(np.int64) * n_nodes + hi
-    shift = lo.size.bit_length()
-    packs = n_nodes * n_nodes << shift <= 1 << 63
-    if packs:
-        packed = np.sort(pair << shift | np.arange(lo.size))
-        pos, pair = packed & ((1 << shift) - 1), packed >> shift
-    else:
-        pos = np.argsort(pair)
-        pair = pair[pos]
-    starts = np.ones(pair.size, dtype=bool)
-    starts[1:] = pair[1:] != pair[:-1]
-    starts = np.flatnonzero(starts)
-    return np.sort(pos[starts] if packs else np.minimum.reduceat(pos, starts))
+    """Positions, ascending, of the first occurrence of each (lo, hi) pair."""
+    key = lo * n_nodes + hi
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
 
 
 def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +174,7 @@ def _elder_merges(n_nodes: int, ends_a: np.ndarray, ends_b: np.ndarray) -> tuple
     label = np.arange(n_nodes)
     first = np.full(n_nodes, n_edges)  # each label's first edge this round, n_edges if it has none
     edge = np.flatnonzero(ends_a != ends_b)  # a self-loop merges nothing
-    a, b = ends_a[edge].astype(np.intp), ends_b[edge].astype(np.intp)  # labels index without a cast
+    a, b = ends_a[edge], ends_b[edge]
     steps, dead = [], []
     while edge.size:
         m = edge.size
@@ -278,7 +264,8 @@ def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.n
         if listed is not None:
             older[j] &= listed
         pattern[x:x + m] |= older[j].view(np.uint8) << j
-    # take gathers at int32 indices without first casting them to intp
+    # pointers, basin labels and the node of each age are int32 here: take
+    # gathers at int32 indices without first casting them to intp
     ptr = np.arange(size, dtype=np.int32) + step[_FIRST_BIT[:1 << len(sides)]].take(pattern)
     up = ptr.take(ptr)
     while not np.array_equal(up, ptr):
@@ -297,7 +284,7 @@ def _basin_merges(age: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray, np.n
     key = np.flatnonzero(np.unpackbits(crossed.take(node), bitorder="little").view(bool))
     younger = node[key >> 3]
     a, b = basin.take(younger), basin.take(younger + step[key & 7])
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(a, b, dtype=np.intp), np.maximum(a, b, dtype=np.intp)  # intp from here on
     at = _first_of_each_pair(lo, hi, roots.size)
     steps, dead = _elder_merges(roots.size, lo[at], hi[at])
     return roots, key[at[steps]] >> 3, dead

@@ -300,21 +300,6 @@ def test_contracted_sweep_matches_plain_union_find():
     assert contracted > 5000
 
 
-@pytest.mark.parametrize("n_nodes", [7, 300, 2**30], ids=["few", "many", "unpackable"])
-def test_first_of_each_pair_keeps_each_pairs_first_position(n_nodes):
-    # at 2**30 nodes a pair id fits in an int64 but a pair and a position of
-    # 50 or more edges do not, and an argsort groups the pairs
-    rng = np.random.default_rng(311)
-    for m in (0, 1, 2, 50, 3000):
-        lo = rng.integers(0, min(n_nodes, 9), size=m) * (n_nodes // 9 + 1) % n_nodes
-        hi = (lo + rng.integers(1, 4, size=m)) % n_nodes
-        first = {}
-        for pos, pair in enumerate(zip(lo.tolist(), hi.tolist())):
-            first.setdefault(pair, pos)
-        got = persistence._first_of_each_pair(lo, hi, n_nodes)
-        assert got.tolist() == sorted(first.values()), (n_nodes, m)
-
-
 def spy_rounds(monkeypatch) -> list[int]:
     """Record, for every elder-rule round, how many edges it leaves."""
     left = []
