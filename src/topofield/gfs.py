@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, FormatError, TruncatedPayload
+from .errors import BadMagic, FormatError, OutOfRange, TruncatedPayload
 from .field import FieldStack
 
 MAGIC = b"GFS1"
@@ -42,10 +42,22 @@ def days_to_date(days: int) -> dt.date:
 
 
 def _parts(stack: FieldStack) -> tuple:
-    """The header, the dates and the ``<f4`` values of a stack, in file order."""
+    """The header, the dates and the ``<f4`` values of a stack, in file order.
+
+    Raises :class:`OutOfRange`, naming the first date, when a value lies
+    outside the float32 range: the cast would store it as an infinity, which
+    no reader accepts.
+    """
     n, c, h, w = stack.values.shape
     days = np.array([date_to_days(d) for d in stack.dates], dtype="<i8")
-    return _HEADER.pack(MAGIC, n, h, w, c), days, stack.values.astype("<f4", order="C")
+    with np.errstate(over="ignore"):
+        values = stack.values.astype("<f4", order="C")
+    # per-date extremes find an overflow without a temporary the size of the values
+    over = np.isinf(values.max(axis=(1, 2, 3), initial=0.0)) | np.isinf(values.min(axis=(1, 2, 3), initial=0.0))
+    if over.any():
+        date = stack.dates[int(np.argmax(over))]
+        raise OutOfRange(f"values on {date.isoformat()} lie outside the float32 range of a GFS file")
+    return _HEADER.pack(MAGIC, n, h, w, c), days, values
 
 
 def write_stack(stack: FieldStack, path) -> None:
@@ -85,4 +97,6 @@ def stack_from_bytes(raw: bytes) -> FieldStack:
     days = np.frombuffer(raw, dtype="<i8", count=n, offset=_HEADER.size)
     dates = tuple(days_to_date(d) for d in days)
     values = np.frombuffer(raw, dtype="<f4", count=values_count, offset=_HEADER.size + dates_bytes)
-    return FieldStack._adopt(dates, values.reshape(n, c, h, w).astype(np.float64))
+    with np.errstate(invalid="ignore"):  # a signalling NaN is quieted here and rejected as NaN
+        values = values.reshape(n, c, h, w).astype(np.float64)
+    return FieldStack._adopt(dates, values)

@@ -509,14 +509,6 @@ def _hopcroft_karp(flat: Sequence[int], lo: list, hi: list, match_l: list, match
     return -1 not in match_l
 
 
-def _matched(cols: np.ndarray, ends: np.ndarray, match_l: list, match_r: list) -> bool:
-    """:func:`_hopcroft_karp` on rows 0..len(ends)-1, where row u's columns
-    are ``cols[ends[u - 1]:ends[u]]`` (from 0 for row 0). The columns reach
-    it as a memoryview: no Python list of every edge is built."""
-    ends = ends.tolist()
-    return _hopcroft_karp(memoryview(cols), [0] + ends[:-1], ends, match_l, match_r)
-
-
 class _Cover:
     """One side's covering test: can every row forced at t (half above t) be
     matched to its own column at distance at most t?
@@ -524,19 +516,24 @@ class _Cover:
     As t rises the forced rows only shrink and the edges only grow. So a test
     that passes holds at every higher level, and a matching made at a level
     that failed stays valid at every higher one: the search tests levels
-    above the highest failure only, and each test augments that matching.
-    Rows come in descending half, so the forced rows are a prefix, and edges
-    come in row order.
+    above the highest failure only, and each test augments that matching
+    less the rows no longer forced. Rows come in descending half, so the
+    forced rows are a prefix; row u's edges are ``start[u]:start[u + 1]``.
 
-    The cover starts from the edges at hand, any subset of the side's edges:
-    a matching of every forced row on them is one on the full graph, so the
-    test passes. Its first failure drops them, takes every relevant edge of
-    the rows forced at that level from ``complete(k)``, and retries from the
-    matching it made, which stays valid on the full graph.
+    The cover starts from the edges within lb of its blocks at hand, any
+    subset of the side's edges: a matching of every forced row on them is
+    one on the full graph, so the test passes. Its first failure drops them,
+    takes every relevant edge of the forced rows from ``complete(k)``, in
+    row order, and retries from the matching it made, valid on the full graph.
     """
 
-    def __init__(self, edges: tuple, half: np.ndarray, n_cols: int, complete):
-        self.rows, self.cols, self.dist = edges
+    def __init__(self, blocks: list, lb: float, half: np.ndarray, n_cols: int, complete):
+        rows, cols, dist = _joined(blocks)
+        keep = np.flatnonzero(dist <= lb)
+        keep = keep[np.argsort(rows[keep], kind="stable")]
+        rows, self.cols, self.dist = rows[keep], cols[keep], dist[keep]
+        # same-dtype queries spare a cast of the rows
+        self.start = np.searchsorted(rows, np.arange(half.size + 1, dtype=rows.dtype))
         self.half, self.complete = half, complete  # complete is None once called
         self.passed = INF  # the lowest level that passed
         self.failed = [], [-1] * n_cols  # the matching at the highest level that failed
@@ -546,20 +543,23 @@ class _Cover:
             return True
         k = int(np.count_nonzero(self.half > t))
         match_l = self.failed[0][:k] + [-1] * (k - len(self.failed[0]))
-        match_r = [-1 if u >= k else u for u in self.failed[1]]
+        match_r = self.failed[1][:]
+        for v in self.failed[0][k:]:
+            if v != -1:
+                match_r[v] = -1
         while True:
-            # row u's edges are start[u]:start[u + 1]; same-dtype queries spare a cast of the rows
-            start = np.searchsorted(self.rows, np.arange(k + 1, dtype=self.rows.dtype))
-            within = np.flatnonzero(self.dist[:start[k]] <= t)
-            if _matched(self.cols[within], np.searchsorted(within, start[1:]), match_l, match_r):
+            within = np.flatnonzero(self.dist[:self.start[k]] <= t)
+            ends = np.searchsorted(within, self.start[1:k + 1]).tolist()
+            if _hopcroft_karp(memoryview(self.cols[within]), [0] + ends[:-1], ends, match_l, match_r):
                 self.passed = t
                 return True
             if self.complete is None:
                 self.failed = match_l, match_r
                 return False
-            self.rows = self.cols = self.dist = None  # freed before the full graph is built
-            self.rows, self.cols, self.dist = self.complete(k)
-            self.complete = None
+            self.cols = self.dist = None  # freed before the full graph is built
+            rows, self.cols, self.dist = self.complete(k)
+            self.start = np.searchsorted(rows, np.arange(k + 1, dtype=rows.dtype))
+            self.complete = rows = None  # no row id per edge outlives the starts
 
 
 class _Strips:
@@ -651,14 +651,6 @@ def _joined(blocks: list) -> tuple:
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _in_row_order(blocks: list, lb) -> tuple:
-    """The edges within lb of (rows, cols, d) blocks, joined and stably sorted by row."""
-    rows, cols, d = _joined(blocks)
-    keep = np.flatnonzero(d <= lb)
-    keep = keep[np.argsort(rows[keep], kind="stable")]
-    return rows[keep], cols[keep], d[keep]
-
-
 def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
     if not len(a) and not len(b):
         return 0.0
@@ -728,8 +720,8 @@ def _finite_bottleneck(a: np.ndarray, b: np.ndarray) -> float:
         blocks += [visit(s, np.arange(r, min(r + _ROW_BLOCK, k))) for r in range(seen[s], k, _ROW_BLOCK)]
         return _joined(blocks)
 
-    covers = [_Cover(_in_row_order(at_hand[s], lb), sides[s][1], sides[1 - s][1].size,
-                     partial(complete, s, at_hand[s][0])) for s in (0, 1)]
+    covers = [_Cover(at_hand[s], lb, sides[s][1], sides[1 - s][1].size, partial(complete, s, at_hand[s][0]))
+              for s in (0, 1)]
     del at_hand  # the covers keep their edges within lb and their first blocks only
     if all([cover(lb) for cover in covers]):
         return float(lb)
@@ -761,10 +753,12 @@ def bottleneck_distance(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
     its nearest relevant distance (below its half), and the largest payment
     bounds the distance from below. A few near points settle most rows'
     payments; only the others have every relevant edge built. Each side's
-    covering test starts from the edges at hand, and its first test, at the
+    cover holds its edges in row order with row starts, as the matching
+    reads them, and starts from the edges at hand: its first test, at the
     bound, often shows the bound is the distance. A side that fails there
     builds the relevant edges of every row whose half lies above the bound,
-    once, and a binary search runs over the exact candidate costs.
+    once, and a binary search runs over the exact candidate costs, each test
+    augmenting the matching of the highest level that failed.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"diagram dimensions differ: {a.dim} vs {b.dim}")

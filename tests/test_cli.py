@@ -42,6 +42,9 @@ from topofield.gfs import read_stack, stack_from_bytes, write_stack
 
 from test_bottleneck import augmenting_chain
 
+# a stray numpy warning means a value went through a cast or a formula unchecked
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def raw_stack(tmp_path):
@@ -767,6 +770,28 @@ def test_directory_path_is_io_error(tmp_path, raw_stack, case, capsys):
     }[case]
     assert run(args) == 1
     assert "error [io_error]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["normalize-invert", "synth", "signalling-nan"])
+def test_gfs_overflow_or_signalling_nan_exits_1_and_writes_nothing(tmp_path, case, capsys):
+    norm, snan, out = make_norm_stack(tmp_path, "n.gfs"), tmp_path / "snan.gfs", tmp_path / "out.gfs"
+    raw = bytearray(norm.read_bytes())
+    raw[-4:] = (0x7F800001).to_bytes(4, "little")  # a signalling NaN as the last value
+    snan.write_bytes(bytes(raw))
+    stats, spec = tmp_path / "stats.json", tmp_path / "spec.json"
+    stats.write_text(json.dumps({"p1": 0, "p99": 1e300 if case == "normalize-invert" else 1}))
+    spec.write_text(json.dumps(dict(CLIMATE_SPEC, annual_amp=1e300)))
+    overflow = "error [out_of_range]: values on {} lie outside the float32 range of a GFS file\n"
+    args, expected = {
+        "normalize-invert": (["normalize", "--input", str(norm), "--stats", str(stats), "--invert"],
+                             overflow.format("2020-01-01")),
+        "synth": (["synth", "--spec", str(spec)], overflow.format("2010-01-01")),
+        "signalling-nan": (["normalize", "--input", str(snan), "--stats", str(stats)],
+                           "error [format_error]: FieldStack contains NaN or Inf\n"),
+    }[case]
+    assert run([*args, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == expected
     assert not out.exists()
 
 

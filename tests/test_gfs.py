@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from topofield import FieldStack
-from topofield.errors import BadMagic, FormatError, TruncatedPayload
+from topofield.errors import BadMagic, FormatError, OutOfRange, TruncatedPayload
 from topofield.gfs import date_to_days, read_stack, stack_from_bytes, stack_to_bytes, write_stack
+
+# a numpy cast warning means a value reached the file or the reader unchecked
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def tiny_stack(channels=1):
@@ -88,6 +91,35 @@ def test_written_file_equals_stack_to_bytes(tmp_path, stack):
     path.write_bytes(b"an older, longer file at the same path" * 4)
     write_stack(stack, path)
     assert path.read_bytes() == stack_to_bytes(stack)
+
+
+@pytest.mark.parametrize("bad_dates, first", [((1,), "2020-01-02"), ((0, 1), "2020-01-01")])
+@pytest.mark.parametrize("value", [3.5e38, -1e300])
+def test_value_outside_float32_is_rejected_before_the_file_opens(tmp_path, bad_dates, first, value):
+    vals = tiny_stack(channels=4).values.copy()
+    vals[list(bad_dates), 2, 1, 0] = value
+    stack = FieldStack(tiny_stack().dates, vals)
+    path = tmp_path / "stack.gfs"
+    with pytest.raises(OutOfRange, match=f"values on {first} lie outside the float32 range"):
+        write_stack(stack, path)
+    assert not path.exists()
+    with pytest.raises(OutOfRange, match=first):
+        stack_to_bytes(stack)
+
+
+def test_float32_extremes_are_written():
+    largest = float(np.finfo(np.float32).max)
+    vals = tiny_stack().values.copy()
+    vals[0, 0, 0, 0], vals[1, 0, 1, 2] = largest, -largest
+    back = stack_from_bytes(stack_to_bytes(FieldStack(tiny_stack().dates, vals)))
+    assert back.values[0, 0, 0, 0] == largest and back.values[1, 0, 1, 2] == -largest
+
+
+def test_signalling_nan_is_rejected_without_a_cast_warning():
+    raw = bytearray(stack_to_bytes(tiny_stack()))
+    raw[-4:] = struct.pack("<I", 0x7F800001)  # the last value
+    with pytest.raises(FormatError, match="NaN or Inf"):
+        stack_from_bytes(bytes(raw))
 
 
 @pytest.mark.parametrize("days", [2**62, -10**7, 2**63 - 1, -2**63,

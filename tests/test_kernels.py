@@ -790,13 +790,15 @@ def test_cover_completes_once_on_its_first_failure():
         calls.append(k)
         return full
 
+    lb = 2.0  # every edge is within lb
     for t in (0.5, 1.0, 2.0):  # each level on a fresh lazy cover gives the full graph's answer
-        assert persistence._Cover(at_hand, half, 2, complete)(t) == persistence._Cover(full, half, 2, None)(t)
+        assert (persistence._Cover([at_hand], lb, half, 2, complete)(t)
+                == persistence._Cover([full], lb, half, 2, None)(t))
     calls.clear()
-    cover = persistence._Cover(at_hand, half, 2, complete)
+    cover = persistence._Cover([at_hand], lb, half, 2, complete)
     assert cover(1.0) and calls == [2]
     assert not cover(0.5) and cover(2.0) and calls == [2]
-    sufficient = persistence._Cover(full, half, 2, complete)
+    sufficient = persistence._Cover([full], lb, half, 2, complete)
     assert sufficient(1.0) and sufficient(2.0) and calls == [2]
 
 
