@@ -5,7 +5,8 @@ by flags; with --json a single JSON result object goes to stdout. Exit
 codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 --config PATH, before or after the command, supplies flag defaults from a
 JSON object (explicit flags win); it may be repeated, later files win, and
-it must be spelled in full.
+it must be spelled in full. Each command imports the kernels it runs, so a
+process loads only the modules its command needs.
 """
 
 from __future__ import annotations
@@ -33,27 +34,6 @@ from .field import (
     normalize_stack,
     normalized,
 )
-from .fusion import RegWeights, _regularizer, add_residual, blend
-from .losses import GateSchedule, LossWeights, content_loss, hinge_d, hinge_g, loss_report, topo_loss
-from .metrics import (
-    BinSpec,
-    evaluate_stack,
-    kde_overlap,
-    lambda_bin_analysis,
-    seasonal_summary,
-)
-from .persistence import (
-    FILTRATION_CONFIG,
-    PersistenceDiagram,
-    _sublevel_diagrams,
-    bottleneck_distance,
-    filter_by_persistence,
-    read_diagram_csv,
-    write_diagram_csv,
-)
-from .structural import build_structural_stack
-from .synthetic import ClimateSpec, generate_climate
-from .temporal import LeadTime, build_sample, manifest_line, sample_lead_times, validate_split
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +120,10 @@ def _parse_date(s: str) -> dt.date:
 
 
 def _resolve_threads(args) -> int:
-    """--threads (or its config value), else all cores."""
-    return args.threads or os.cpu_count() or 1
+    """--threads (or its config value), else the CPUs this process may run on."""
+    if args.threads:
+        return args.threads
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _read_json(path, what: str):
@@ -240,6 +222,8 @@ def _cmd_normalize(args) -> dict:
 
 
 def _cmd_channels(args) -> dict:
+    from .structural import build_structural_stack
+
     stack = _single_channel(gfs.read_stack(args.input), "channel input")
     if args.stats:
         stack = normalize_stack(stack, _load_stats(args.stats))
@@ -249,6 +233,8 @@ def _cmd_channels(args) -> dict:
 
 
 def _cmd_persistence(args) -> dict:
+    from .persistence import FILTRATION_CONFIG, _sublevel_diagrams, filter_by_persistence, write_diagram_csv
+
     stack = gfs.read_stack(args.input)
     stats = _load_stats(args.stats) if args.stats else None
     idx = _pick_date(stack, args.date, "input stack")
@@ -272,6 +258,8 @@ def _cmd_persistence(args) -> dict:
 
 
 def _cmd_bottleneck(args) -> dict:
+    from .persistence import PersistenceDiagram, bottleneck_distance, read_diagram_csv
+
     da = read_diagram_csv(args.diagram_a)
     db = read_diagram_csv(args.diagram_b)
     dim = args.dim
@@ -281,6 +269,8 @@ def _cmd_bottleneck(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    from .temporal import LeadTime, build_sample, manifest_line, sample_lead_times, validate_split
+
     stack = gfs.read_stack(args.input)
     split = None
     if args.train_years:
@@ -324,6 +314,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_fuse(args) -> dict:
+    from .fusion import add_residual, blend
+
     inter = _single_channel(gfs.read_stack(args.inter), "--inter")
     intra = _single_channel(gfs.read_stack(args.intra), "--intra")
     lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
@@ -341,6 +333,8 @@ def _cmd_fuse(args) -> dict:
 
 
 def _cmd_regularize(args) -> dict:
+    from .fusion import RegWeights, _regularizer
+
     lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
     weights = RegWeights(args.eta1, args.eta2, args.eta3, args.target)
     terms = (x.tolist() for x in _regularizer(lam_stack.values[:, 0], weights))
@@ -356,6 +350,8 @@ def _cmd_regularize(args) -> dict:
 
 
 def _cmd_losses(args) -> dict:
+    from .losses import GateSchedule, LossWeights, content_loss, hinge_d, hinge_g, loss_report, topo_loss
+
     pred = _single_channel(gfs.read_stack(args.pred), "--pred")
     truth = _single_channel(gfs.read_stack(args.truth), "--truth")
     pi = _pick_date(pred, args.date, "--pred")
@@ -366,6 +362,8 @@ def _cmd_losses(args) -> dict:
     adv = hinge_g(_scores_from_json(args.fake_scores)) if args.fake_scores else 0.0
     reg = 0.0
     if args.lam:
+        from .fusion import RegWeights, _regularizer
+
         lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
         li = _pick_date(lam_stack, args.date, "--lambda")
         reg_weights = RegWeights(args.eta1, args.eta2, args.eta3, args.target)
@@ -379,6 +377,8 @@ def _cmd_losses(args) -> dict:
 
 
 def _cmd_evaluate(args) -> dict:
+    from .metrics import evaluate_stack, kde_overlap, seasonal_summary
+
     pred = _single_channel(gfs.read_stack(args.pred), "--pred")
     truth = _single_channel(gfs.read_stack(args.truth), "--truth")
     clim = _single_channel(gfs.read_stack(args.clim), "--clim")
@@ -411,6 +411,8 @@ _SUMMARY_COLUMNS = ("season", "n", "mean_rmse", "std_rmse", "mean_acc", "overlap
 
 
 def _cmd_stratify(args) -> dict:
+    from .metrics import BinSpec, lambda_bin_analysis
+
     lam_stack = _single_channel(gfs.read_stack(args.lam), "--lambda")
     rmse_stack = _single_channel(gfs.read_stack(args.rmse), "--rmse")
     li = _pick_date(lam_stack, args.date, "--lambda")
@@ -431,6 +433,8 @@ def _cmd_stratify(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
+    from .synthetic import ClimateSpec, generate_climate
+
     spec_dict = _read_json(args.spec, "climate spec")
     if args.seed is not None and isinstance(spec_dict, dict):
         spec_dict["seed"] = args.seed
@@ -465,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="print a single JSON result object")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: all cores)")
+                       help="worker threads (default: the CPUs this process may use)")
 
     p = sub.add_parser("stats", help="compute normalization percentiles from training years")
     p.add_argument("--input", required=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +58,8 @@ def map_chunks(fn, n: int, cells: int, threads: int | None = None) -> list:
     per_chunk = max(1, _CHUNK_CELLS // max(1, cells))
     chunks = [slice(i, min(i + per_chunk, n)) for i in range(0, n, per_chunk)]
     if threads is not None and threads > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: one-thread runs never need it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, chunks))
     return list(map(fn, chunks))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import datetime as dt
 import io
@@ -567,6 +568,18 @@ def test_threads_below_one_is_usage_error(tmp_path, raw_stack, stats_file, value
     assert run(args + ["--threads", value]) == 2
     assert "error [usage]: argument --threads" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_default_threads_count_the_cpus_this_process_may_use(monkeypatch):
+    default = argparse.Namespace(threads=None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert cli._resolve_threads(default) == 3
+    assert cli._resolve_threads(argparse.Namespace(threads=2)) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without CPU affinity
+    assert cli._resolve_threads(default) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._resolve_threads(default) == 1
 
 
 def test_sample_count_below_one_is_usage_error(capsys):

@@ -1410,6 +1410,102 @@ print(json.dumps(loaded))
     assert [(name, status, scipy) for name, status, scipy in loaded if status or scipy] == []
 
 
+# Besides cli, errors, field and gfs: the topofield modules each command
+# loads, and whether it loads concurrent.futures, at --threads 1.
+COMMAND_FOOTPRINTS = {
+    "import": (set(), False),
+    "stats": (set(), False),
+    "normalize": (set(), False),
+    "channels": ({"order", "structural"}, False),
+    "sample": ({"order", "structural", "temporal"}, False),
+    "persistence": ({"order", "persistence"}, False),
+    "bottleneck": ({"order", "persistence"}, False),
+    "fuse": ({"fusion", "order", "structural", "temporal"}, False),
+    "regularize": ({"fusion", "order", "structural", "temporal"}, False),
+    "losses": ({"losses", "metrics", "order", "persistence"}, False),
+    "losses --lambda": ({"fusion", "losses", "metrics", "order", "persistence", "structural", "temporal"}, False),
+    "evaluate": ({"metrics"}, False),
+    "stratify": ({"metrics"}, False),
+    "synth": ({"fusion", "order", "structural", "synthetic", "temporal"}, True),  # scipy loads concurrent.futures
+}
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    """In a fresh interpreter, ``import topofield`` loads no submodule and each
+    command (at ``--threads 1``) loads only the modules it runs."""
+    runs = [("import", [])]
+    for argv in command_argvs(tmp_path):  # in order: each reads what an earlier one wrote
+        if argv[0] == "losses":
+            lam = argv.index("--lambda")
+            runs.append(("losses", argv[:lam] + argv[lam + 2:]))
+            runs.append(("losses --lambda", argv))
+        else:
+            runs.append((argv[0], argv))
+    runs.append(("synth", ["synth", "--spec", str(tmp_path / "spec.json"), "--output", str(tmp_path / "again.gfs")]))
+    code = """import contextlib, io, json, sys
+argv = json.loads(sys.stdin.read())
+if argv:
+    from topofield.cli import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv + ["--threads", "1"]) == 0
+else:
+    import topofield
+names = {m.split(".", 1)[1] for m in sys.modules if m.startswith("topofield.")}
+print(json.dumps([sorted(names - {"cli", "errors", "field", "gfs"}), "concurrent.futures" in sys.modules]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    footprints = {}
+    for name, argv in runs:
+        out = subprocess.run([sys.executable, "-c", code], input=json.dumps(argv), capture_output=True, text=True,
+                             env={"PYTHONPATH": src, "PATH": ""})
+        assert out.returncode == 0, (name, out.stderr)
+        modules, futures = json.loads(out.stdout)
+        footprints[name] = (set(modules), futures)
+    assert footprints == COMMAND_FOOTPRINTS
+
+
+# ---------------------------------------------------------------------------
+# The package namespace: every public name, resolved on first use
+
+# What ``topofield`` exports, by defining module, as its eager imports did.
+PACKAGE_EXPORTS = {
+    "errors": "TopofieldError",
+    "field": "FieldStack NormStats ScalarField SplitSpec compute_norm_stats denormalize denormalize_stack "
+             "normalize_stack",
+    "fusion": "LambdaMap RegWeights apply_residual entropy_term fuse l_reg lead_map mean_balance positional_encoding tv",
+    "gfs": "read_stack stack_from_bytes stack_to_bytes write_stack",
+    "losses": "GateSchedule LossWeights composite_loss content_loss hinge_d hinge_g loss_report mae ssim topo_loss",
+    "metrics": "BinSpec EvalRecord StratRow acc evaluate_stack kde_overlap lambda_bin_analysis lead_time_curves "
+               "make_eval_record psnr rmse season_of seasonal_summary tail_overlap",
+    "order": "",
+    "persistence": "FILTRATION_CONFIG PersistenceDiagram bottleneck_distance diagrams_to_csv filter_by_persistence "
+                   "read_diagram_csv sublevel_persistence sublevel_persistence_reduction write_diagram_csv",
+    "structural": "CriticalKind CriticalPoint MultiChannelField build_structural_channels build_structural_stack "
+                  "classify_critical_points extract_saddle_contours",
+    "synthetic": "BumpSpec ClimateSpec gaussian_mixture_field generate_climate oracle_lambda",
+    "temporal": "Climatology DualSample LeadTime build_climatology build_sample climatology_forecast "
+                "interannual_dates intra_dates read_manifest sample_lead_times validate_split write_manifest",
+}
+
+
+def test_package_namespace_holds_every_export_and_submodule():
+    import topofield
+
+    names = {name: module for module, exported in PACKAGE_EXPORTS.items() for name in exported.split()}
+    assert len(names) == 80
+    assert topofield.__all__ == sorted([*names, *PACKAGE_EXPORTS])
+    for name, module in names.items():
+        assert getattr(topofield, name) is getattr(importlib.import_module(f"topofield.{module}"), name), name
+    for module in PACKAGE_EXPORTS:
+        assert getattr(topofield, module) is importlib.import_module(f"topofield.{module}")
+    star: dict = {}
+    exec("from topofield import *", star)
+    assert set(star) - {"__builtins__"} == set(topofield.__all__)
+    assert set(topofield.__all__) <= set(dir(topofield))
+    with pytest.raises(AttributeError, match="module 'topofield' has no attribute 'no_such_name'"):
+        topofield.no_such_name  # noqa: B018
+
+
 # ---------------------------------------------------------------------------
 # The benchmark resolves its traced layers by name
 
