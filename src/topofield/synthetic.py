@@ -13,12 +13,15 @@ import datetime as dt
 import math
 import numbers
 from dataclasses import MISSING, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError
-from .field import FieldStack, ScalarField, as_values
-from .fusion import LambdaMap
+from .field import _CHUNK_CELLS, FieldStack, ScalarField, as_values
+
+if TYPE_CHECKING:
+    from .fusion import LambdaMap
 
 _STREAM_PHASE = 1
 _STREAM_YEAR = 2
@@ -116,17 +119,77 @@ def _calendar_doy(day: dt.date) -> int:
     return dt.date(2001, day.month, ref_day).timetuple().tm_yday
 
 
+# generate_climate filters its days in chunks of about _CHUNK_CELLS cells.
+# Where a field's cells x kernel taps fall below this constant, a chunk goes
+# through _numpy_gaussian_filter and scipy.ndimage is never imported (about
+# 0.3 s in a fresh process); at and above it, ndimage, about twice as fast
+# per cell-tap, filters. The constant is where the numpy filter's extra cost
+# over a 15-year (5,479-day) climate equals that import. Both routes give the
+# same bytes.
+_NUMPY_FILTER_MAX_WORK = 50_000
+
+
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter1d``'s weights at ``truncate=4``, computed and
+    reversed as it computes and reverses them."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return (phi / phi.sum())[::-1]
+
+
+def _correlate_axis(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """``ndimage.correlate1d(values, weights, axis, mode="reflect")`` for a
+    symmetric odd-length ``weights``, to the byte.
+
+    ndimage sums a symmetric kernel as the centre tap, then each pair of
+    mirrored taps from the farthest in; this sums in that order. The axis is
+    moved to the front of a padded copy so that each tap is one contiguous pass.
+    """
+    r = len(weights) // 2
+    lead = np.moveaxis(values, axis, 0)
+    n = lead.shape[0]
+    # np.pad's "symmetric" is ndimage's "reflect", also where r exceeds n
+    padded = np.pad(lead, [(r, r)] + [(0, 0)] * (lead.ndim - 1), mode="symmetric")
+    out = padded[r:r + n] * weights[r]
+    pair = np.empty_like(out)
+    for k in range(r, 0, -1):
+        np.add(padded[r - k:r - k + n], padded[r + k:r + k + n], out=pair)
+        pair *= weights[r - k]
+        out += pair
+    return np.moveaxis(out, 0, axis)
+
+
+def _numpy_gaussian_filter(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter(mode="reflect")`` over the last two axes of one
+    field or a stack of fields, to the byte, as a C-contiguous array."""
+    weights = _gaussian_weights(sigma)
+    for axis in (-2, -1):
+        fields = _correlate_axis(fields, weights, axis)
+    return np.ascontiguousarray(fields)
+
+
+def _smooth_fields(keys, shape: tuple[int, int]) -> np.ndarray:
+    """One standardized smooth random field per key (seed, stream, index...),
+    as an ``(len(keys), *shape)`` array."""
+    white = np.empty((len(keys), *shape))
+    for key, field in zip(keys, white):
+        np.random.default_rng(key).standard_normal(out=field)
+    sigma = max(1.0, min(shape) / 6.0)
+    if shape[0] * shape[1] * len(_gaussian_weights(sigma)) < _NUMPY_FILTER_MAX_WORK:
+        smooth = _numpy_gaussian_filter(white, sigma)
+    else:
+        from scipy import ndimage  # imported on first use: only large grids need it
+
+        smooth = ndimage.gaussian_filter(white, sigma=(0.0, sigma, sigma), mode="reflect")
+    sd = smooth.std(axis=(1, 2), keepdims=True)
+    centred = smooth - smooth.mean(axis=(1, 2), keepdims=True)
+    return np.divide(centred, sd, out=np.zeros_like(centred), where=sd != 0.0)
+
+
 def _smooth_field(key: tuple, shape: tuple[int, int]) -> np.ndarray:
     """Standardized smooth random field keyed by (seed, stream, index...)."""
-    from scipy import ndimage  # imported on first use: most commands never filter
-
-    rng = np.random.default_rng(key)
-    white = rng.standard_normal(shape)
-    smooth = ndimage.gaussian_filter(white, sigma=max(1.0, min(shape) / 6.0), mode="reflect")
-    sd = smooth.std()
-    if sd == 0.0:
-        return np.zeros(shape)
-    return (smooth - smooth.mean()) / sd
+    return _smooth_fields([key], shape)[0]
 
 
 def generate_climate(spec: ClimateSpec) -> FieldStack:
@@ -141,29 +204,31 @@ def generate_climate(spec: ClimateSpec) -> FieldStack:
     """
     shape = (spec.height, spec.width)
     phase = 0.5 * _smooth_field((spec.seed, _STREAM_PHASE), shape)
-    year_fields = {
-        year: _smooth_field((spec.seed, _STREAM_YEAR, year), shape)
-        for year in range(spec.start_year, spec.start_year + spec.n_years)
-    }
+    years = range(spec.start_year, spec.start_year + spec.n_years)
+    year_fields = _smooth_fields([(spec.seed, _STREAM_YEAR, year) for year in years], shape)
     first = dt.date(spec.start_year, 1, 1)
     last = dt.date(spec.start_year + spec.n_years - 1, 12, 31)
-    n_days = (last - first).days + 1
+    dates = tuple(first + dt.timedelta(days=k) for k in range((last - first).days + 1))
+    angles = np.array([2.0 * np.pi * _calendar_doy(day) / DAYS_PER_YEAR for day in dates])
+    year_index = np.array([day.year - spec.start_year for day in dates])
 
-    dates = []
-    values = np.empty((n_days, 1, spec.height, spec.width))
+    values = np.empty((len(dates), 1, *shape))
     rho = spec.ar1_coeff
     innov_scale = np.sqrt(1.0 - rho * rho)
-    weather = np.zeros(shape)
-    for k in range(n_days):
-        day = first + dt.timedelta(days=k)
-        innovation = _smooth_field((spec.seed, _STREAM_WEATHER, k), shape)
-        weather = innovation if k == 0 else rho * weather + innov_scale * innovation
-        doy = _calendar_doy(day)
-        seasonal = spec.annual_amp * np.cos(2.0 * np.pi * doy / DAYS_PER_YEAR + phase)
-        field = seasonal + spec.interannual_amp * year_fields[day.year] + spec.weather_amp * weather
-        dates.append(day)
-        values[k, 0] = field
-    return FieldStack._adopt(tuple(dates), values)
+    weather = None
+    per_chunk = max(1, _CHUNK_CELLS // (spec.height * spec.width))
+    for start in range(0, len(dates), per_chunk):
+        stop = min(start + per_chunk, len(dates))
+        innovations = _smooth_fields([(spec.seed, _STREAM_WEATHER, k) for k in range(start, stop)], shape)
+        for field in innovations:  # the AR(1) weather, in place of each day's innovation
+            if weather is not None:
+                field *= innov_scale
+                field += rho * weather
+            weather = field
+        seasonal = spec.annual_amp * np.cos(angles[start:stop, None, None] + phase)
+        anomaly = spec.interannual_amp * year_fields[year_index[start:stop]]
+        values[start:stop, 0] = seasonal + anomaly + spec.weather_amp * innovations
+    return FieldStack._adopt(dates, values)
 
 
 def oracle_lambda(inter_pred, intra_pred, truth) -> LambdaMap:
@@ -172,6 +237,8 @@ def oracle_lambda(inter_pred, intra_pred, truth) -> LambdaMap:
     lambda* = clamp((truth - intra) / (inter - intra), 0, 1) where the two
     branches differ by more than 1e-12; 0.5 where they coincide.
     """
+    from .fusion import LambdaMap  # imported on first use: `synth` never needs fusion
+
     a = as_values(inter_pred)
     b = as_values(intra_pred)
     t = as_values(truth)

@@ -1390,8 +1390,13 @@ def command_argvs(tmp_path) -> list[list[str]]:
 
 
 def test_import_leaves_scipy_ndimage_unloaded(tmp_path):
-    """Importing topofield, and running any command but ``synth``, loads no scipy module."""
-    argvs = command_argvs(tmp_path)
+    """Importing topofield, and running any command (``synth`` on the README's
+    24x32 grid among them), loads no scipy module."""
+    (tmp_path / "readme.json").write_text(json.dumps({
+        "n_years": 5, "height": 24, "width": 32, "annual_amp": 8.0, "interannual_amp": 2.0,
+        "weather_amp": 3.0, "ar1_coeff": 0.85, "seed": 7}))
+    argvs = command_argvs(tmp_path) + [
+        ["synth", "--spec", str(tmp_path / "readme.json"), "--output", str(tmp_path / "readme.gfs")]]
     code = f"""import contextlib, io, json, sys
 import topofield
 from topofield.cli import run
@@ -1426,7 +1431,7 @@ COMMAND_FOOTPRINTS = {
     "losses --lambda": ({"fusion", "losses", "metrics", "order", "persistence", "structural", "temporal"}, False),
     "evaluate": ({"metrics"}, False),
     "stratify": ({"metrics"}, False),
-    "synth": ({"fusion", "order", "structural", "synthetic", "temporal"}, True),  # scipy loads concurrent.futures
+    "synth": ({"synthetic"}, False),
 }
 
 

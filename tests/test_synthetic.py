@@ -18,6 +18,7 @@ from topofield import (
     rmse,
     sublevel_persistence,
 )
+from topofield import synthetic
 from topofield.errors import FormatError
 
 
@@ -119,6 +120,53 @@ class TestGenerateClimate:
                 intra_r.append(np.corrcoef(target, recent)[0, 1])
                 inter_r.append(np.corrcoef(target, aligned)[0, 1])
         assert np.mean(intra_r) > np.mean(inter_r)
+
+
+README_SPEC = ClimateSpec(
+    n_years=5, height=24, width=32, annual_amp=8.0, interannual_amp=2.0, weather_amp=3.0, ar1_coeff=0.85, seed=7
+)
+FILTER_SHAPES = [(2, 2), (3, 40), (5, 5), (7, 13), (24, 32), (101, 237)]
+
+
+class TestGaussianFilter:
+    """The numpy filter that small climates use in place of scipy's."""
+
+    @pytest.mark.parametrize("shape", FILTER_SHAPES)
+    def test_byte_equal_to_ndimage_on_a_field_and_a_batch(self, shape):
+        from scipy import ndimage
+
+        sigma = max(1.0, min(shape) / 6.0)
+        batch = np.random.default_rng(sum(shape)).standard_normal((3, *shape))
+        want = np.stack([ndimage.gaussian_filter(f, sigma=sigma, mode="reflect") for f in batch])
+        assert synthetic._numpy_gaussian_filter(batch[1], sigma).tobytes() == want[1].tobytes()
+        assert synthetic._numpy_gaussian_filter(batch, sigma).tobytes() == want.tobytes()
+
+    def test_radius_wider_than_a_side(self):
+        weights = synthetic._gaussian_weights(max(1.0, 3 / 6.0))
+        assert len(weights) // 2 > 3
+
+    @pytest.mark.parametrize("spec", [README_SPEC, ClimateSpec(4, 7, 13, 1.0, 0.3, 0.4, 0.6, seed=3, start_year=1999)])
+    def test_climate_is_byte_equal_under_both_routes(self, spec, monkeypatch):
+        monkeypatch.setattr(synthetic, "_NUMPY_FILTER_MAX_WORK", 0)
+        by_ndimage = generate_climate(spec)
+        monkeypatch.setattr(synthetic, "_NUMPY_FILTER_MAX_WORK", float("inf"))
+        by_numpy = generate_climate(spec)
+        assert by_numpy.dates == by_ndimage.dates
+        assert by_numpy.values.tobytes() == by_ndimage.values.tobytes()
+
+    @pytest.mark.parametrize("shape, by_ndimage", [((24, 32), False), ((101, 237), True)])
+    def test_route_follows_field_size(self, shape, by_ndimage, monkeypatch):
+        from scipy import ndimage
+
+        real, calls = ndimage.gaussian_filter, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "gaussian_filter", counted)
+        synthetic._smooth_fields([(1, 2, 3)], shape)
+        assert calls == ([(1, *shape)] if by_ndimage else [])
 
 
 class TestOracleLambda:
