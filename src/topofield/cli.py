@@ -15,7 +15,6 @@ import argparse
 import datetime as dt
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .field import (
     denormalized,
     normalize_stack,
     normalized,
+    usable_cpus,
 )
 
 
@@ -121,9 +121,7 @@ def _parse_date(s: str) -> dt.date:
 
 def _resolve_threads(args) -> int:
     """--threads (or its config value), else the CPUs this process may run on."""
-    if args.threads:
-        return args.threads
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return args.threads or usable_cpus()
 
 
 def _read_json(path, what: str):
@@ -204,7 +202,7 @@ def _scores_from_json(path) -> np.ndarray:
 
 
 def _cmd_stats(args) -> dict:
-    stack = gfs.read_stack(args.input)
+    stack = _single_channel(gfs.read_stack(args.input), "--input")
     split = SplitSpec(args.train_years, frozenset())
     stats = compute_norm_stats(stack, split)
     result = {"p1": stats.p1, "p99": stats.p99}
@@ -469,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="print a single JSON result object")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: the CPUs this process may use)")
+                       help="worker threads, at most the CPUs this process may use (default: that many)")
 
     p = sub.add_parser("stats", help="compute normalization percentiles from training years")
     p.add_argument("--input", required=True)

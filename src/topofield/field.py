@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,20 +50,49 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _CHUNK_CELLS = 1 << 16
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity, else the host's count, at least 1."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def map_chunks(fn, n: int, cells: int, threads: int | None = None) -> list:
     """``fn`` of consecutive slices of ``range(n)``, results in slice order.
 
     A slice holds about ``_CHUNK_CELLS`` cells at ``cells`` per item, and at
-    least one item. The slices run on a thread pool when ``threads > 1``.
+    least one item. The slices run on a pool of ``threads`` threads, at most
+    one per usable CPU, when that is more than one.
     """
     per_chunk = max(1, _CHUNK_CELLS // max(1, cells))
     chunks = [slice(i, min(i + per_chunk, n)) for i in range(0, n, per_chunk)]
-    if threads is not None and threads > 1 and len(chunks) > 1:
+    workers = min(threads or 1, usable_cpus())
+    if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here: one-thread runs never need it
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, chunks))
     return list(map(fn, chunks))
+
+
+def _correlate_axis(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """``ndimage.correlate1d(values, weights, axis, mode="reflect")`` for a
+    symmetric odd-length ``weights``, to the byte.
+
+    ndimage sums a symmetric kernel as the centre tap, then each pair of
+    mirrored taps from the farthest in; this sums in that order. The axis is
+    moved to the front of a padded copy so that each tap is one contiguous pass.
+    """
+    r = len(weights) // 2
+    lead = np.moveaxis(values, axis, 0)
+    n = lead.shape[0]
+    # np.pad's "symmetric" is ndimage's "reflect", also where r exceeds n
+    padded = np.pad(lead, [(r, r)] + [(0, 0)] * (lead.ndim - 1), mode="symmetric")
+    out = padded[r:r + n] * weights[r]
+    pair = np.empty_like(out)
+    for k in range(r, 0, -1):
+        np.add(padded[r - k:r - k + n], padded[r + k:r + k + n], out=pair)
+        pair *= weights[r - k]
+        out += pair
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVariance,
 )
-from .field import as_values, denormalized, map_chunks
+from .field import _correlate_axis, as_values, denormalized, map_chunks
 
 SEASONS = ("DJF", "MAM", "JJA", "SON")
 _SEASON_OF_MONTH = {
@@ -85,6 +85,10 @@ class BinSpec:
 
     def __post_init__(self):
         edges = tuple(float(e) for e in self.edges)
+        if not edges:
+            raise FormatError("bin edges must hold at least one edge")
+        if not all(map(math.isfinite, edges)):
+            raise FormatError(f"bin edges must be finite, got {edges}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise FormatError("bin edges must be strictly increasing")
         object.__setattr__(self, "edges", edges)
@@ -188,32 +192,19 @@ def _acc(p: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(denom == 0.0, np.nan, r)
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    """The normalized 2D Gaussian window as a ``(size, size)`` array."""
-    half = size // 2
-    x = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(x**2) / (2.0 * sigma**2))
-    g = g / g.sum()
-    return np.outer(g, g)
-
-
-_SSIM_KERNEL = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+# The SSIM window is the outer product of this normalized 1-D Gaussian.
+_SSIM_WEIGHTS = np.exp(-((np.arange(SSIM_WINDOW, dtype=np.float64) - SSIM_WINDOW // 2) ** 2)
+                       / (2.0 * SSIM_SIGMA**2))
+_SSIM_WEIGHTS /= _SSIM_WEIGHTS.sum()
 
 
 def _local_mean(x: np.ndarray) -> np.ndarray:
     """Each date of ``x`` correlated with the window, reflect-padded at the edges.
 
-    Byte-identical to ``scipy.ndimage.correlate(x, kernel[None], mode="reflect")``:
-    ``symmetric`` padding is ndimage's ``reflect``, and the taps are summed
-    from zero in row-major kernel order, as ndimage's loop sums them.
+    Byte-identical to ``scipy.ndimage.correlate1d(..., mode="reflect")`` with
+    the 1-D weights along axis -2 and then along axis -1.
     """
-    half = SSIM_WINDOW // 2
-    h, w = x.shape[1:]
-    padded = np.pad(x, ((0, 0), (half, half), (half, half)), mode="symmetric")
-    acc = np.zeros(x.shape)
-    for (i, j), weight in np.ndenumerate(_SSIM_KERNEL):
-        acc += padded[:, i:i + h, j:j + w] * weight
-    return acc
+    return _correlate_axis(_correlate_axis(x, _SSIM_WEIGHTS, -2), _SSIM_WEIGHTS, -1)
 
 
 def _ssim(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import FormatError
-from .field import _CHUNK_CELLS, FieldStack, ScalarField, as_values
+from .field import _CHUNK_CELLS, FieldStack, ScalarField, _correlate_axis, as_values
 
 if TYPE_CHECKING:
     from .fusion import LambdaMap
@@ -136,28 +136,6 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return (phi / phi.sum())[::-1]
-
-
-def _correlate_axis(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """``ndimage.correlate1d(values, weights, axis, mode="reflect")`` for a
-    symmetric odd-length ``weights``, to the byte.
-
-    ndimage sums a symmetric kernel as the centre tap, then each pair of
-    mirrored taps from the farthest in; this sums in that order. The axis is
-    moved to the front of a padded copy so that each tap is one contiguous pass.
-    """
-    r = len(weights) // 2
-    lead = np.moveaxis(values, axis, 0)
-    n = lead.shape[0]
-    # np.pad's "symmetric" is ndimage's "reflect", also where r exceeds n
-    padded = np.pad(lead, [(r, r)] + [(0, 0)] * (lead.ndim - 1), mode="symmetric")
-    out = padded[r:r + n] * weights[r]
-    pair = np.empty_like(out)
-    for k in range(r, 0, -1):
-        np.add(padded[r - k:r - k + n], padded[r + k:r + k + n], out=pair)
-        pair *= weights[r - k]
-        out += pair
-    return np.moveaxis(out, 0, axis)
 
 
 def _numpy_gaussian_filter(fields: np.ndarray, sigma: float) -> np.ndarray:

@@ -539,6 +539,16 @@ def test_stats_on_constant_training_values_is_degenerate(tmp_path, capsys):
     assert capsys.readouterr().err == "error [degenerate_stats]: p99 - p1 = 0.0 is below 1e-12\n"
 
 
+def test_stats_on_a_4_channel_stack_is_format_error(tmp_path, raw_stack, stats_file, capsys):
+    channels = tmp_path / "channels.gfs"
+    assert run(["channels", "--input", str(raw_stack), "--stats", str(stats_file), "--output", str(channels)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "channel_stats.json"
+    assert run(["stats", "--input", str(channels), "--train-years", "2015", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error [format_error]: --input must be a 1-channel stack, got 4 channels\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_stats_whose_span_overflows_are_degenerate(tmp_path, capsys):
     pred = make_norm_stack(tmp_path, "p.gfs", n=2, seed=8)
@@ -580,6 +590,42 @@ def test_default_threads_count_the_cpus_this_process_may_use(monkeypatch):
     assert cli._resolve_threads(default) == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._resolve_threads(default) == 1
+
+
+def test_evaluate_pool_holds_at_most_one_thread_per_usable_cpu(tmp_path, stats_file, monkeypatch, capsys):
+    """``--threads 100000`` on a one-chunk-per-date ``evaluate --overlap`` asks for
+    no more workers than the CPUs this process may use. The pool is a stand-in
+    that records its size and runs the work in the calling thread."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    pred = make_norm_stack(tmp_path, "p.gfs", n=4, seed=8)
+    truth = make_norm_stack(tmp_path, "t.gfs", n=4, seed=9)
+    clim = make_norm_stack(tmp_path, "c.gfs", n=4, seed=10)
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--clim", str(clim), "--stats", str(stats_file),
+            "--overlap", "--json"]
+    assert run(argv + ["--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert sizes == []
+    assert run(argv + ["--threads", "100000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == [2]  # the overlaps: one chunk per date
 
 
 def test_sample_count_below_one_is_usage_error(capsys):

@@ -319,6 +319,11 @@ class TestLambdaBins:
         assert row.medians == (0.5, 0.5, 0.5, 0.5)
         assert row.delta == 0.0
 
+    @pytest.mark.parametrize("edges", [(), (3.0, math.nan, 5.0), (3.0, math.inf), (-math.inf, 4.0)])
+    def test_empty_or_non_finite_edges_rejected(self, edges):
+        with pytest.raises(FormatError):
+            BinSpec(edges)
+
     def test_boundary_value_falls_right(self):
         # an error of exactly 3.0 K belongs to the 3-4 bin
         lam = np.array([[0.1, 0.9], [0.1, 0.9]])
