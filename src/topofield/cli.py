@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gfs
-from .errors import FormatError, MissingDate, TopofieldError
+from .errors import FormatError, InsufficientHistory, MissingDate, TopofieldError
 from .field import (
     FieldStack,
     NormStats,
@@ -287,7 +287,7 @@ def _cmd_sample(args) -> dict:
             tau = taus[made]
             try:
                 sample = build_sample(stack, t, tau)
-            except MissingDate:  # only missing history is worth another draw; any other error is reported
+            except (InsufficientHistory, MissingDate):  # only missing history is worth another draw
                 continue
             if split and args.role and not validate_split(sample, split, args.role):
                 continue

@@ -44,7 +44,12 @@ class LeadTime:
 
 @dataclass(frozen=True)
 class DualSample:
-    """One (target date, lead time) sample with both input groups."""
+    """One (target date, lead time) sample with both input groups.
+
+    FormatError unless every input date precedes the target and the recent
+    dates are :func:`intra_dates` of it; like that helper, it raises
+    InsufficientHistory when they would fall before 0001-01-01.
+    """
 
     target_date: dt.date
     tau: LeadTime
@@ -58,8 +63,7 @@ class DualSample:
         for d in self.inter_dates + self.intra_dates:
             if d >= self.target_date:
                 raise FormatError(f"input date {d} does not precede target {self.target_date}")
-        expect = tuple(self.target_date - dt.timedelta(days=(3 - k) * self.tau.tau) for k in range(3))
-        if tuple(self.intra_dates) != expect:
+        if list(self.intra_dates) != intra_dates(self.target_date, self.tau):
             raise FormatError("recent-group dates are not {t-3tau, t-2tau, t-tau}")
 
     @property
@@ -70,30 +74,24 @@ class DualSample:
 def interannual_dates(t: dt.date, start: dt.date | None = None):
     """Same (month, day) in the three previous years, oldest first.
 
-    Feb 29 targets map to Feb 28 in non-leap prior years. If ``start`` is
-    given, any resulting date before it raises InsufficientHistory.
+    Feb 29 targets map to Feb 28, since none of the three years before a
+    leap year is one. A date before 0001-01-01, or before ``start`` when it
+    is given, raises InsufficientHistory.
     """
-    out = []
-    for k in (3, 2, 1):
-        year = t.year - k
-        month, day = t.month, t.day
-        try:
-            aligned = dt.date(year, month, day)
-        except ValueError:
-            if month == 2 and day == 29:
-                aligned = dt.date(year, 2, 28)
-            else:
-                raise
-        out.append(aligned)
-    if start is not None:
-        early = [d for d in out if d < start]
-        if early:
-            raise InsufficientHistory(f"{early[0]} precedes dataset start {start}")
+    if t.year <= 3:
+        raise InsufficientHistory(f"{t} - 3 years precedes {dt.date.min}")
+    day = 28 if (t.month, t.day) == (2, 29) else t.day
+    out = [t.replace(year=t.year - k, day=day) for k in (3, 2, 1)]
+    if start is not None and out[0] < start:
+        raise InsufficientHistory(f"{out[0]} precedes dataset start {start}")
     return out
 
 
 def intra_dates(t: dt.date, tau: LeadTime, start: dt.date | None = None):
-    """[t - 3*tau, t - 2*tau, t - tau]."""
+    """[t - 3*tau, t - 2*tau, t - tau]. A date before 0001-01-01, or before
+    ``start`` when it is given, raises InsufficientHistory."""
+    if (t - dt.date.min).days < 3 * tau.tau:
+        raise InsufficientHistory(f"{t} - {3 * tau.tau} days precedes {dt.date.min}")
     out = [t - dt.timedelta(days=k * tau.tau) for k in (3, 2, 1)]
     if start is not None and out[0] < start:
         raise InsufficientHistory(f"{out[0]} precedes dataset start {start}")

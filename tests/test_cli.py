@@ -21,6 +21,7 @@ from topofield import (
     RegWeights,
     apply_residual,
     bottleneck_distance,
+    build_structural_stack,
     denormalize,
     diagrams_to_csv,
     entropy_term,
@@ -40,6 +41,7 @@ from topofield.cli import run
 from topofield.errors import OutOfRange
 from topofield.field import normalized
 from topofield.gfs import read_stack, stack_from_bytes, write_stack
+from topofield.temporal import TAU_MAX, TAU_MIN
 
 from test_bottleneck import augmenting_chain
 
@@ -235,6 +237,22 @@ def test_losses_command_gate(tmp_path, capsys):
     assert rep["hinge_d"] == 1.0  # mean(max(0,1-[1,2])) + mean(max(0,1+[.5,-.5]))
     assert rep["adv"] == 0.0
     assert rep["total"] == pytest.approx(rep["content"] + rep["adv"] + rep["topo"])
+
+
+def test_losses_lambda_adds_the_date_s_regularizer(tmp_path, capsys):
+    pred = make_norm_stack(tmp_path, "p.gfs", seed=70)
+    truth = make_norm_stack(tmp_path, "t.gfs", seed=71)
+    lam = make_norm_stack(tmp_path, "lam.gfs", seed=72)
+    argv = ["losses", "--pred", str(pred), "--truth", str(truth), "--date", "2020-01-02", "--gamma", "0.5",
+            "--eta1", "0.7", "--eta2", "1.3", "--eta3", "2.9", "--target", "0.35", "--json"]
+    assert run(argv + ["--lambda", str(lam)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    expect = l_reg(LambdaMap.of(read_stack(lam).values[1, 0]), RegWeights(0.7, 1.3, 2.9, 0.35))
+    assert rep["reg"] == expect and expect != 0.0
+    assert rep["total"] == rep["content"] + 0.5 * rep["reg"]  # alpha 1; beta and delta 0
+    other = make_norm_stack(tmp_path, "other.gfs", n=1, seed=73, start=dt.date(2020, 1, 3))
+    assert run(argv + ["--lambda", str(other)]) == 1
+    assert capsys.readouterr().err == "error [format_error]: --lambda has no field for 2020-01-02\n"
 
 
 def test_evaluate_and_summary(tmp_path, capsys):
@@ -520,6 +538,12 @@ def test_bad_bins_is_usage_error(capsys):
 def test_bad_train_years_is_usage_error(raw_stack, capsys):
     assert run(["stats", "--input", str(raw_stack), "--train-years", "abc"]) == 2
     assert "error [usage]: argument --train-years" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,reason", [("2012-2010", "bad year range '2012-2010'"), (",", "no years in ','")])
+def test_reversed_or_empty_train_years_are_usage_errors(raw_stack, spec, reason, capsys):
+    assert run(["stats", "--input", str(raw_stack), "--train-years", spec]) == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", ['{"p99": 300.0}', '{"p1": "x", "p99": 300.0}', "[1, 2]", "{not json"])
@@ -1403,3 +1427,34 @@ def test_bad_input_is_exit_1_with_its_message(tmp_path, raw_stack, case, capsys)
     assert run(argv) == 1
     assert capsys.readouterr().err == err + "\n"
     assert not out.exists()
+
+
+def _structural_stack(path, first: dt.date, n: int, shape=(3, 3), seed=0) -> tuple:
+    """A daily 4-channel stack of ``n`` random fields from ``first``; returns its dates."""
+    dates = tuple(first + dt.timedelta(days=k) for k in range(n))
+    values = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 1, *shape))
+    write_stack(build_structural_stack(FieldStack(dates, values)), path)
+    return dates
+
+
+def test_sample_before_the_calendar_s_fourth_year_is_insufficient_history(tmp_path, capsys):
+    _structural_stack(tmp_path / "x.gfs", dt.date(1, 1, 1), 4 * 365 + 1)
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--date", "0002-03-01", "--tau", "30"]) == 1
+    assert capsys.readouterr().err == "error [insufficient_history]: 0002-03-01 - 3 years precedes 0001-01-01\n"
+    assert run(["sample", "--input", str(tmp_path / "x.gfs"), "--count", "3", "--seed", "1", "--json"]) == 0
+    targets = [dt.date.fromisoformat(s["target_date"]) for s in json.loads(capsys.readouterr().out)["samples"]]
+    assert [t.year for t in targets] == [4, 4, 4]
+
+
+@given(first=st.dates(min_value=dt.date(1, 1, 1), max_value=dt.date(4, 12, 31)), extra=st.integers(0, 60),
+       h=st.integers(3, 5), w=st.integers(3, 5), pick=st.integers(0, 4 * 365), tau=st.integers(TAU_MIN, TAU_MAX),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sample_on_stacks_at_the_calendar_s_start_exits_cleanly(tmp_path_factory, first, extra, h, w, pick, tau,
+                                                                seed):
+    tmp = tmp_path_factory.mktemp("sample")
+    dates = _structural_stack(tmp / "x.gfs", first, 4 * 365 + 1 + extra, (h, w), seed)
+    for argv in (["--date", dates[pick].isoformat(), "--tau", str(tau)], ["--count", "2", "--seed", str(seed)]):
+        code, output = run_quietly(["sample", "--input", str(tmp / "x.gfs"), *argv], tmp)
+        assert code in (0, 1), output
+        assert_clean_exit(code, output)

@@ -186,6 +186,10 @@ class TestCompositeGate:
         with pytest.raises(FormatError):
             GateSchedule(warmup_steps=-1)
 
+    def test_negative_step_rejected(self):
+        with pytest.raises(FormatError, match="step must be nonnegative"):
+            GateSchedule().open_at(-1)
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("slot", range(4))
     def test_invalid_weights(self, bad, slot):

@@ -11,6 +11,7 @@ from topofield import (
     NormStats,
     ScalarField,
     acc,
+    evaluate_stack,
     kde_overlap,
     lambda_bin_analysis,
     lead_time_curves,
@@ -24,8 +25,10 @@ from topofield import (
 from topofield.errors import (
     DegenerateSample,
     EmptyBin,
+    EmptySeason,
     FormatError,
     IdenticalFields,
+    ShapeMismatch,
     ZeroVariance,
 )
 
@@ -265,6 +268,10 @@ class TestSeasonalSummary:
         out = seasonal_summary(recs)
         assert sum(v["n"] for v in out.values()) == len(recs)
 
+    def test_no_records_is_empty_season(self):
+        with pytest.raises(EmptySeason):
+            seasonal_summary([])
+
 
 class TestEvalRecord:
     def test_season_consistency_enforced(self):
@@ -323,6 +330,10 @@ class TestLambdaBins:
     def test_empty_or_non_finite_edges_rejected(self, edges):
         with pytest.raises(FormatError):
             BinSpec(edges)
+
+    def test_decreasing_edges_rejected(self):
+        with pytest.raises(FormatError, match="strictly increasing"):
+            BinSpec((5.0, 4.0))
 
     def test_boundary_value_falls_right(self):
         # an error of exactly 3.0 K belongs to the 3-4 bin
@@ -402,3 +413,9 @@ class TestMakeEvalRecord:
         clim = np.clip(truth + 0.01, 0, 1)
         rec = make_eval_record(truth, truth, clim, stats, dt.date(2020, 1, 5), 30)
         assert math.isinf(rec.psnr)
+
+    def test_climatology_of_another_grid_is_a_shape_mismatch(self):
+        fields = np.random.default_rng(16).uniform(0.2, 0.8, (2, 12, 12))
+        with pytest.raises(ShapeMismatch, match="climatology shape"):
+            evaluate_stack(fields, fields, fields[:, :, :11], NormStats(260.0, 300.0),
+                           [dt.date(2020, 1, 5), dt.date(2020, 1, 6)], 30)

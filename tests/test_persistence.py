@@ -227,6 +227,12 @@ class TestDiagramCsv:
         path.write_text(f"dim,birth,death\n0,0.5,{death}\n")
         assert read_diagram_csv(path)[0].pairs == ((0.5, INF),)
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("dim,birth,death\n0,0.5,inf\n\n1,0.25,0.75\n")
+        back = read_diagram_csv(path)
+        assert back[0].pairs == ((0.5, INF),) and back[1].pairs == ((0.25, 0.75),)
+
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=20, deadline=None)

@@ -63,6 +63,27 @@ class TestInterannualDates:
     def test_history_inside_dataset_is_fine(self):
         assert interannual_dates(d("2013-06-01"), start=d("2010-01-01"))[0] == d("2010-06-01")
 
+    def test_history_before_year_1_is_insufficient(self):
+        for t in ("0001-06-01", "0003-12-31"):
+            with pytest.raises(InsufficientHistory, match="precedes 0001-01-01"):
+                interannual_dates(d(t))
+        assert interannual_dates(d("0004-01-01")) == [d("0001-01-01"), d("0002-01-01"), d("0003-01-01")]
+        assert interannual_dates(d("0004-02-29")) == [d("0001-02-28"), d("0002-02-28"), d("0003-02-28")]
+
+
+@given(st.dates(min_value=dt.date(4, 1, 1)))
+@settings(max_examples=200, deadline=None)
+def test_interannual_dates_align_the_calendar_day(t):
+    """Each prior year keeps t's month and day, and Feb 29 becomes Feb 28 in a year without one."""
+    expect = []
+    for year in (t.year - 3, t.year - 2, t.year - 1):
+        try:
+            expect.append(dt.date(year, t.month, t.day))
+        except ValueError:
+            assert (t.month, t.day) == (2, 29)
+            expect.append(dt.date(year, 2, 28))
+    assert interannual_dates(t) == expect
+
 
 class TestIntraDates:
     def test_tau_30(self):
@@ -84,6 +105,11 @@ class TestIntraDates:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
             intra_dates(d("2010-03-01"), LeadTime(30), start=d("2010-01-01"))
+
+    def test_history_before_year_1_is_insufficient(self):
+        assert intra_dates(d("0001-04-01"), LeadTime(30))[0] == d("0001-01-01")
+        with pytest.raises(InsufficientHistory, match="precedes 0001-01-01"):
+            intra_dates(d("0001-03-31"), LeadTime(30))
 
 
 class TestBuildSample:
@@ -119,6 +145,19 @@ class TestBuildSample:
         one_ch = FieldStack(stack.dates, stack.values[:, :1])
         with pytest.raises(FormatError):
             build_sample(one_ch, d("2020-06-01"), LeadTime(45))
+
+    def test_target_in_the_calendar_s_first_three_years_is_insufficient_history(self):
+        stack = make_4ch_stack(start="0001-01-01", end="0004-12-31")
+        with pytest.raises(InsufficientHistory):
+            build_sample(stack, d("0002-03-01"), LeadTime(30))
+        assert build_sample(stack, d("0004-03-01"), LeadTime(30)).inter_dates[0] == d("0001-03-01")
+
+    def test_recent_dates_off_the_schedule_are_rejected(self):
+        sample = build_sample(make_4ch_stack(), d("2020-06-01"), LeadTime(45))
+        shifted = tuple(day - dt.timedelta(days=1) for day in sample.intra_dates)
+        with pytest.raises(FormatError, match="recent-group dates"):
+            DualSample(sample.target_date, sample.tau, sample.inter_dates, shifted,
+                       sample.inter_inputs, sample.intra_inputs, sample.target)
 
 
 class TestValidateSplit:
@@ -247,6 +286,13 @@ class TestManifest:
         path.write_bytes(good.encode() + b"\xff\n")
         with pytest.raises(FormatError, match="is not text"):
             read_manifest(path)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        good = "2020-06-01,45,2017-06-01,2018-06-01,2019-06-01,2020-01-18,2020-03-03,2020-04-17"
+        path.write_text(good + "\n\n" + good + "\n")
+        rows = read_manifest(path)
+        assert len(rows) == 2 and rows[0] == rows[1]
 
 
 def dual_sample(target: dt.date, tau: int, inter) -> DualSample:
